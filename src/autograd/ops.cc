@@ -14,32 +14,6 @@ using internal::NewOpNode;
 using internal::Node;
 using tensor::Matrix;
 
-namespace internal {
-
-std::shared_ptr<Node> NewOpNode(Matrix value,
-                                std::vector<std::shared_ptr<Node>> parents,
-                                std::function<void(Node&)> backward_fn) {
-  auto node = std::make_shared<Node>();
-  node->value = std::move(value);
-  bool needs = false;
-  for (const auto& p : parents) {
-    ADAMGNN_CHECK(p != nullptr);
-    needs = needs || p->requires_grad;
-  }
-  // Under a NoGradGuard the node is built as a constant: the forward value
-  // is identical, but no parent edges or pullback are retained, so eval
-  // passes allocate no tape.
-  needs = needs && GradEnabled();
-  node->requires_grad = needs;
-  if (needs) {
-    node->parents = std::move(parents);
-    node->backward_fn = std::move(backward_fn);
-  }
-  return node;
-}
-
-}  // namespace internal
-
 Variable Add(const Variable& a, const Variable& b) {
   ADAMGNN_CHECK(a.value().SameShape(b.value()));
   auto pa = a.node(), pb = b.node();
@@ -165,7 +139,7 @@ Variable LeakyRelu(const Variable& a, double slope) {
 Variable Sigmoid(const Variable& a) {
   auto pa = a.node();
   Matrix y = tensor::Sigmoid(a.value());
-  return Variable::FromNode(NewOpNode(y, {pa}, [pa](Node& self) {
+  return Variable::FromNode(NewOpNode(std::move(y), {pa}, [pa](Node& self) {
     Matrix d = self.grad;
     for (size_t i = 0; i < d.size(); ++i) {
       const double yi = self.value.data()[i];

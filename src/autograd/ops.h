@@ -5,20 +5,41 @@
 #ifndef ADAMGNN_AUTOGRAD_OPS_H_
 #define ADAMGNN_AUTOGRAD_OPS_H_
 
+#include <initializer_list>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "autograd/variable.h"
+#include "util/logging.h"
 
 namespace adamgnn::autograd {
 
 namespace internal {
 /// Creates an op output node. requires_grad is inherited from parents; when
-/// no parent requires gradients, the pullback and parent links are dropped so
-/// inference-only subgraphs cost nothing at backward time.
-std::shared_ptr<Node> NewOpNode(tensor::Matrix value,
-                                std::vector<std::shared_ptr<Node>> parents,
-                                std::function<void(Node&)> backward_fn);
+/// no parent requires gradients, or under a NoGradGuard, the pullback and
+/// parent links are dropped so inference-only subgraphs cost nothing at
+/// backward time. The pullback is only wrapped in a std::function (a heap
+/// allocation) when it is kept, which eval and serving forwards skip.
+template <typename BackwardFn>
+std::shared_ptr<Node> NewOpNode(
+    tensor::Matrix value, std::initializer_list<std::shared_ptr<Node>> parents,
+    BackwardFn&& backward_fn) {
+  auto node = std::make_shared<Node>();
+  node->value = std::move(value);
+  bool needs = false;
+  for (const auto& p : parents) {
+    ADAMGNN_CHECK(p != nullptr);
+    needs = needs || p->requires_grad;
+  }
+  needs = needs && GradEnabled();
+  node->requires_grad = needs;
+  if (needs) {
+    node->parents.assign(parents.begin(), parents.end());
+    node->backward_fn = std::forward<BackwardFn>(backward_fn);
+  }
+  return node;
+}
 }  // namespace internal
 
 /// a + b (same shape).

@@ -163,28 +163,24 @@ Variable SpMMTranspose(std::shared_ptr<const graph::SparseMatrix> s,
                                       }));
 }
 
-Matrix SpMMValuesForward(const SparsePattern& pattern, const Matrix& values,
-                         const Matrix& x) {
-  ADAMGNN_CHECK_EQ(values.rows(), pattern.nnz());
-  ADAMGNN_CHECK_EQ(values.cols(), 1u);
-  ADAMGNN_CHECK_EQ(pattern.cols, x.rows());
-  Matrix out(pattern.rows, x.cols());
-  if (graph::GetSparseEngine() == graph::SparseEngine::kLegacyScatter) {
-    ScatterRows(pattern, pattern.row_indices, pattern.col_indices,
-                [&values](size_t k) { return values(k, 0); }, x, &out);
-  } else {
-    EngineSpmm(pattern, /*transpose=*/false, values.data(), x, &out);
-  }
-  return out;
-}
-
 Variable SpMMValues(std::shared_ptr<const SparsePattern> pattern,
                     const Variable& values, const Variable& x) {
   ADAMGNN_CHECK(pattern != nullptr);
+  ADAMGNN_CHECK_EQ(values.rows(), pattern->nnz());
+  ADAMGNN_CHECK_EQ(values.cols(), 1u);
+  ADAMGNN_CHECK_EQ(pattern->cols, x.rows());
   auto pv = values.node();
   auto px = x.node();
 
-  Matrix out = SpMMValuesForward(*pattern, values.value(), x.value());
+  Matrix out(pattern->rows, x.cols());
+  if (graph::GetSparseEngine() == graph::SparseEngine::kLegacyScatter) {
+    const Matrix& vals = pv->value;
+    ScatterRows(*pattern, pattern->row_indices, pattern->col_indices,
+                [&vals](size_t k) { return vals(k, 0); }, px->value, &out);
+  } else {
+    EngineSpmm(*pattern, /*transpose=*/false, pv->value.data(), px->value,
+               &out);
+  }
 
   return Variable::FromNode(NewOpNode(
       std::move(out), {pv, px}, [pattern, pv, px](Node& self) {

@@ -24,6 +24,7 @@
 #include "nn/linear.h"
 #include "nn/module.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace adamgnn::core {
 
@@ -64,6 +65,8 @@ struct LevelInfo {
 
 class AdamGnn : public nn::Module {
  public:
+  /// Glorot-initialises every weight from `rng`; a null `rng` leaves them
+  /// zero for a copy that CopyWeightsFrom fills.
   AdamGnn(const AdamGnnConfig& config, util::Rng* rng);
 
   struct Output {
@@ -108,10 +111,42 @@ class AdamGnn : public nn::Module {
                              const autograd::Variable& features,
                              bool training, util::Rng* rng) const;
 
-  /// Plan-based variant of ForwardFromFeatures.
+  /// Plan-based variant of ForwardFromFeatures: PrimaryRepresentation, then
+  /// Cascade, then the auxiliary losses (Eq. 7), then NodeLogits.
   Output ForwardFromFeatures(const graph::Graph& g, const GraphPlan& plan,
                              const autograd::Variable& features, bool training,
                              util::Rng* rng) const;
+
+  // The three stages of the forward, public so serving can run them on its
+  // own plans (the batched path fuses the first over a block-diagonal union
+  // and runs the cascade per member). Eval callers pass training = false,
+  // which draws nothing from `rng` (it may be null), and hold an
+  // autograd::NoGradGuard so no tape is recorded.
+
+  /// Primary node representations (Eq. 1): dropout(ReLU(Â X W + b)) over
+  /// the plan's Â.
+  autograd::Variable PrimaryRepresentation(const GraphPlan& plan,
+                                           const autograd::Variable& features,
+                                           bool training,
+                                           util::Rng* rng) const;
+
+  /// The multi-grained cascade of Algorithm 1 from the primary
+  /// representations h0 over a graph's adjacency and level-0 topology:
+  /// per level fitness φ (Eq. 2), local-max selection, S_k, hyper-node
+  /// init (Eq. 3), A_k = SᵀÂS, level GCN and unpooling, then flyback
+  /// (Eq. 4). Fills every Output field except aux_loss and logits. Polls
+  /// the ambient util::CancelToken after each stage of every level and
+  /// returns the token's status once it fires; `out` is then partial and
+  /// must be discarded. With no token bound it always returns OK.
+  util::Status Cascade(const graph::SparseMatrix& adjacency,
+                       const LevelTopology& level0,
+                       const autograd::Variable& h0, bool training,
+                       util::Rng* rng, Output* out) const;
+
+  /// Node-classification logits from final embeddings (dropout, then the
+  /// node head); undefined when the config has no head.
+  autograd::Variable NodeLogits(const autograd::Variable& embeddings,
+                                bool training, util::Rng* rng) const;
 
   /// Graph-classification logits from a forward output over a batched graph:
   /// readout = [mean ‖ max] of embeddings per member graph, then a linear
@@ -120,20 +155,15 @@ class AdamGnn : public nn::Module {
                                  const std::vector<size_t>& node_to_graph,
                                  size_t num_graphs) const;
 
+  /// Overwrites every parameter of this model with `source`'s current
+  /// values (deep copies; nothing is shared afterwards). `source` must have
+  /// the same dimensions and heads and at least as many levels; only this
+  /// model's first config().num_levels levels are copied.
+  void CopyWeightsFrom(const AdamGnn& source);
+
   std::vector<autograd::Variable> Parameters() const override;
 
   const AdamGnnConfig& config() const { return config_; }
-
-  // Submodule accessors, used by the tape-free InferenceSession to snapshot
-  // frozen weights.
-  const nn::GcnConv& input_conv() const { return *input_conv_; }
-  const FitnessScorer& fitness(size_t k) const { return *fitness_[k]; }
-  const HyperFeatureInit& hyper_init(size_t k) const { return *hyper_init_[k]; }
-  const nn::GcnConv& level_conv(size_t k) const { return *level_convs_[k]; }
-  const FlybackAggregator& flyback() const { return *flyback_; }
-  /// May be null (link-prediction mode has no classification heads).
-  const nn::Linear* node_head() const { return node_head_.get(); }
-  const nn::Linear* graph_head() const { return graph_head_.get(); }
 
  private:
   AdamGnnConfig config_;

@@ -4,6 +4,22 @@
 
 namespace adamgnn::core {
 
+namespace {
+
+// Eval-mode forward without the auxiliary losses: no dropout and no RNG
+// draws. Callers hold an autograd::NoGradGuard so no tape is recorded.
+AdamGnn::Output EvalForward(const AdamGnn& model, const GraphPlan& plan) {
+  AdamGnn::Output out;
+  autograd::Variable h0 = model.PrimaryRepresentation(
+      plan, plan.feature_constant(), /*training=*/false, nullptr);
+  model.Cascade(plan.adjacency(), plan.level0(), h0, /*training=*/false,
+                nullptr, &out)
+      .CheckOK();
+  return out;
+}
+
+}  // namespace
+
 const std::shared_ptr<const GraphPlan>& PlanCache::For(const graph::Graph& g) {
   const uint64_t fp = GraphPlan::Fingerprint(g);
   if (plan_ == nullptr || plan_->fingerprint() != fp) {
@@ -29,16 +45,13 @@ train::NodeModel::Out AdamGnnNodeModel::Forward(const graph::Graph& g,
 
 train::NodeModel::Out AdamGnnNodeModel::Evaluate(const graph::Graph& g,
                                                  util::Rng* rng) {
-  (void)rng;  // the session consumes no randomness
-  if (session_ == nullptr) {
-    session_ = std::make_unique<InferenceSession>(model_);
-  } else {
-    session_->RefreshWeights(model_);
-  }
-  const InferenceSession::Result& r = session_->Run(plans_.For(g));
-  last_attention_ = r.flyback_attention;
-  last_levels_ = r.levels;
-  return {autograd::Variable::Constant(r.logits), autograd::Variable()};
+  (void)rng;  // eval consumes no randomness
+  autograd::NoGradGuard no_grad;
+  AdamGnn::Output out = EvalForward(model_, *plans_.For(g));
+  last_attention_ = out.flyback_attention;
+  last_levels_ = out.levels;
+  return {model_.NodeLogits(out.embeddings, /*training=*/false, nullptr),
+          autograd::Variable()};
 }
 
 std::vector<autograd::Variable> AdamGnnNodeModel::Parameters() const {
@@ -63,16 +76,9 @@ train::EmbeddingModel::Out AdamGnnEmbeddingModel::Forward(
 train::EmbeddingModel::Out AdamGnnEmbeddingModel::Evaluate(
     const graph::Graph& g, util::Rng* rng) {
   (void)rng;
-  if (session_ == nullptr) {
-    session_ = std::make_unique<InferenceSession>(model_);
-  } else {
-    session_->RefreshWeights(model_);
-  }
-  const InferenceSession::Result& r = session_->Run(plans_.For(g));
-  tensor::Matrix projected = nn::Linear::ForwardValues(
-      r.embeddings, projection_.weight().value(), tensor::Matrix());
-  return {autograd::Variable::Constant(std::move(projected)),
-          autograd::Variable()};
+  autograd::NoGradGuard no_grad;
+  AdamGnn::Output out = EvalForward(model_, *plans_.For(g));
+  return {projection_.Forward(out.embeddings), autograd::Variable()};
 }
 
 std::vector<autograd::Variable> AdamGnnEmbeddingModel::Parameters() const {
@@ -102,15 +108,10 @@ train::GraphModel::Out AdamGnnGraphModel::Forward(
 train::GraphModel::Out AdamGnnGraphModel::Evaluate(
     const graph::GraphBatch& batch, util::Rng* rng) {
   (void)rng;
-  if (session_ == nullptr) {
-    session_ = std::make_unique<InferenceSession>(model_);
-  } else {
-    session_->RefreshWeights(model_);
-  }
-  auto plan = GraphPlan::Build(batch.merged, model_.config().lambda);
-  tensor::Matrix logits =
-      session_->GraphLogits(plan, batch.node_to_graph, batch.num_graphs());
-  return {autograd::Variable::Constant(std::move(logits)),
+  autograd::NoGradGuard no_grad;
+  AdamGnn::Output out = EvalForward(
+      model_, *GraphPlan::Build(batch.merged, model_.config().lambda));
+  return {model_.GraphLogits(out, batch.node_to_graph, batch.num_graphs()),
           autograd::Variable()};
 }
 

@@ -9,7 +9,6 @@
 
 #include "core/adamgnn_model.h"
 #include "core/graph_plan.h"
-#include "core/inference_session.h"
 #include "nn/linear.h"
 #include "train/interfaces.h"
 
@@ -33,9 +32,9 @@ class AdamGnnNodeModel final : public train::NodeModel {
   AdamGnnNodeModel(const AdamGnnConfig& config, util::Rng* rng);
 
   Out Forward(const graph::Graph& g, bool training, util::Rng* rng) override;
-  /// Tape-free eval through a frozen-weight InferenceSession; bitwise
-  /// identical logits to Forward(training=false), no autograd allocation,
-  /// and no RNG consumption (eval stops drawing recon-loss negatives).
+  /// Eval forward under an autograd::NoGradGuard without the auxiliary
+  /// losses: bitwise identical logits to Forward(training=false), no tape,
+  /// and no RNG consumption (eval draws no recon-loss negatives).
   Out Evaluate(const graph::Graph& g, util::Rng* rng) override;
   std::vector<autograd::Variable> Parameters() const override;
 
@@ -47,7 +46,6 @@ class AdamGnnNodeModel final : public train::NodeModel {
  private:
   AdamGnn model_;
   PlanCache plans_;
-  std::unique_ptr<InferenceSession> session_;
   tensor::Matrix last_attention_;
   std::vector<LevelInfo> last_levels_;
 };
@@ -57,15 +55,13 @@ class AdamGnnEmbeddingModel final : public train::EmbeddingModel {
   AdamGnnEmbeddingModel(const AdamGnnConfig& config, util::Rng* rng);
 
   Out Forward(const graph::Graph& g, bool training, util::Rng* rng) override;
-  /// Tape-free eval (see AdamGnnNodeModel::Evaluate); the projection is
-  /// applied on raw matrices through nn::Linear::ForwardValues.
+  /// Tape-free eval (see AdamGnnNodeModel::Evaluate), then the projection.
   Out Evaluate(const graph::Graph& g, util::Rng* rng) override;
   std::vector<autograd::Variable> Parameters() const override;
 
  private:
   AdamGnn model_;
   PlanCache plans_;
-  std::unique_ptr<InferenceSession> session_;
   // Linear decoder projection: AdamGNN's H is elementwise non-negative
   // (ReLU outputs mixed through non-negative assignment weights), which a
   // dot-product decoder cannot rank well; the projection restores a full
@@ -81,14 +77,14 @@ class AdamGnnGraphModel final : public train::GraphModel {
 
   Out Forward(const graph::GraphBatch& batch, bool training,
               util::Rng* rng) override;
-  /// Tape-free eval over a batched graph. Batches are ephemeral, so each
-  /// call builds a throwaway plan (no fingerprint cache).
+  /// Tape-free eval (see AdamGnnNodeModel::Evaluate) over a batched graph.
+  /// Batches are ephemeral, so each call builds a throwaway plan (no
+  /// fingerprint cache).
   Out Evaluate(const graph::GraphBatch& batch, util::Rng* rng) override;
   std::vector<autograd::Variable> Parameters() const override;
 
  private:
   AdamGnn model_;
-  std::unique_ptr<InferenceSession> session_;
 };
 
 }  // namespace adamgnn::core

@@ -23,22 +23,17 @@
 
 namespace adamgnn::core {
 
-/// The weight-independent skeleton of S_k: where the nonzeros live and the
-/// index sets every consumer (values assembly, hyper feature init, unpool)
-/// gathers through. A pure function of (pairs, selection), so the inference
-/// path can reuse it across weight refreshes.
-struct AssignmentStructure {
+/// S_k together with the index sets every consumer (hyper feature init,
+/// unpool, explainability) gathers through.
+struct Assignment {
   /// Sparsity structure of S_k (n_prev x n_hyper).
   std::shared_ptr<const autograd::SparsePattern> pattern;
-  /// For each hyper column, the level k-1 node id of its ego / retained node.
-  std::vector<size_t> hyper_to_prev;
-  /// Number of leading columns that are selected ego-networks.
-  size_t num_ego_columns = 0;
+  /// Values aligned with `pattern` (nnz x 1): the kept φ entries, which
+  /// carry gradients, then constant ones for egos and retained nodes.
+  autograd::Variable values;
   /// Indices into the EgoPairs arrays of the member entries kept in S
   /// (pairs whose ego was selected), aligned with the leading φ values.
   std::vector<size_t> kept_pair_indices;
-  /// Trailing 1.0 entries of the values column (egos + retained nodes).
-  size_t num_const_entries = 0;
   /// Gather/segment index sets for Eq. 3, aligned with kept_pair_indices:
   /// member_rows[i] = pairs.member[p], ego_rows[i] = pairs.ego[p], and
   /// init_segments[i] = the ego's column among the selected egos.
@@ -47,40 +42,15 @@ struct AssignmentStructure {
   std::vector<size_t> init_segments;
 };
 
-/// Builds the skeleton of S_k from the level's pairs and selection.
-AssignmentStructure BuildAssignmentStructure(const EgoPairs& pairs,
-                                             const Selection& selection);
-
-struct Assignment : AssignmentStructure {
-  /// Values aligned with `pattern` (nnz x 1); the φ entries carry gradients.
-  autograd::Variable values;
-};
-
-/// Attaches differentiable values (kept φ entries, then constant ones) to a
-/// prebuilt skeleton.
-Assignment BuildAssignment(AssignmentStructure structure,
-                           const FitnessScorer::Scores& scores);
-
 /// Assembles S_k from the level's pairs, selection, and fitness scores.
 Assignment BuildAssignment(const EgoPairs& pairs, const Selection& selection,
                            const FitnessScorer::Scores& scores);
-
-/// Raw values column for the tape-free path: kept φ entries gathered from
-/// `pair_phi` followed by num_const_entries ones — bitwise-equal to
-/// BuildAssignment(...).values.value() at the same scores.
-tensor::Matrix AssignmentValues(const AssignmentStructure& structure,
-                                const tensor::Matrix& pair_phi);
 
 /// A_k = Sᵀ (A_prev + I) S with S's current (detached) values. Gradients do
 /// not flow through connectivity — only through features — matching the
 /// sparse-pooling convention (TopK/SAGPool do the same).
 graph::SparseMatrix NextAdjacency(const graph::SparseMatrix& prev_adjacency,
                                   const Assignment& assignment);
-
-/// Same product over an explicit values column (tape-free path).
-graph::SparseMatrix NextAdjacency(const graph::SparseMatrix& prev_adjacency,
-                                  const autograd::SparsePattern& pattern,
-                                  const tensor::Matrix& values);
 
 /// 1-hop neighbor lists of a sparse adjacency, ignoring self-loops.
 std::vector<std::vector<size_t>> AdjacencyListsFromSparse(

@@ -25,26 +25,13 @@ class HyperFeatureInit : public nn::Module {
 
   /// Produces X_k (num_hyper_nodes x dim), rows ordered like the assignment
   /// columns (selected egos first, then retained nodes). The gather and
-  /// segment index sets come precomputed from the assignment structure.
-  autograd::Variable Initialise(const EgoPairs& pairs,
-                                const Selection& selection,
+  /// segment index sets come precomputed on the assignment.
+  autograd::Variable Initialise(const Selection& selection,
                                 const Assignment& assignment,
                                 const FitnessScorer::Scores& scores,
                                 const autograd::Variable& h_prev) const;
 
-  /// Raw-matrix forward of Initialise for the tape-free inference path;
-  /// same kernels, same order, bitwise-equal output at the same weights.
-  /// `pair_phi` is the full per-pair φ column the structure indexes into.
-  static tensor::Matrix InitialiseValues(const AssignmentStructure& structure,
-                                         const tensor::Matrix& pair_phi,
-                                         const tensor::Matrix& h_prev,
-                                         const tensor::Matrix& weight,
-                                         const tensor::Matrix& attention);
-
   std::vector<autograd::Variable> Parameters() const override;
-
-  const autograd::Variable& weight() const { return weight_; }
-  const autograd::Variable& attention() const { return attention_; }
 
  private:
   autograd::Variable weight_;     // (dim, dim) — W

@@ -1,9 +1,8 @@
-// Tape-free serving path for a trained AdamGNN. An InferenceSession freezes
-// a model's parameters (deep matrix copies, decoupled from the optimizer)
-// and executes the compute phase on raw tensor::Matrix — no
-// autograd::Variable allocation, no gradient bookkeeping. Because every
-// autograd op's forward delegates to the same tensor:: kernels this session
-// calls, in the same order, session outputs are bitwise-identical to
+// Tape-free serving path for a trained AdamGNN. An InferenceSession holds
+// a frozen deep copy of a model's parameters (decoupled from the optimizer)
+// and runs the model's own forward stages — AdamGnn::PrimaryRepresentation,
+// Cascade and NodeLogits — in eval mode under an autograd::NoGradGuard, so
+// no tape is recorded and outputs are bitwise-identical to
 // Forward(training=false) at the same weights.
 //
 // Caching: results are memoized per GraphPlan, so repeated queries against
@@ -32,8 +31,8 @@ namespace adamgnn::core {
 
 class InferenceSession {
  public:
-  /// Snapshots the model's current parameters. Later optimizer steps on the
-  /// model do not affect the session until RefreshWeights.
+  /// Deep-copies the model's current parameters. Later optimizer steps on
+  /// the model do not affect the session until RefreshWeights.
   explicit InferenceSession(const AdamGnn& model);
 
   /// Degraded-mode session: same frozen weights, but the forward runs at
@@ -83,13 +82,14 @@ class InferenceSession {
   /// Batch-first forward: runs ONE fused input-GCN layer over the
   /// block-diagonal union, splits the primary representations back to
   /// members (graph::SplitRows), and executes the weight-dependent pooling
-  /// cascade per member on the plan's sliced views. Each member's Result is
-  /// bitwise-identical to Run on that member's own GraphPlan, at every
-  /// thread count: the fused layer's per-element summation order is
-  /// member-local (row-gather SpMM + per-element GEMM accumulators), and
-  /// the cascade runs the exact single-graph code on bitwise-identical
-  /// inputs. The cascade is NOT fused because its break conditions and
-  /// segment-reduction chunk grains depend on the global node count.
+  /// cascade (AdamGnn::Cascade) per member on the plan's sliced views. Each
+  /// member's Result is bitwise-identical to Run on that member's own
+  /// GraphPlan, at every thread count: the fused layer's per-element
+  /// summation order is member-local (row-gather SpMM + per-element GEMM
+  /// accumulators), and the cascade runs the exact single-graph code on
+  /// bitwise-identical inputs. The cascade is NOT fused because its break
+  /// conditions and segment-reduction chunk grains depend on the global
+  /// node count.
   ///
   /// `member_tokens` is empty or one token per member (invalid tokens are
   /// inert). A token that has already fired drops its member before any of
@@ -130,47 +130,37 @@ class InferenceSession {
                              const std::vector<size_t>& node_to_graph,
                              size_t num_graphs);
 
-  /// Re-snapshots the model's parameters and drops every cached result
-  /// (weights change => selection cascade is stale).
+  /// Copies the model's current parameters into the frozen copy and drops
+  /// every cached result (weights change => selection cascade is stale).
+  /// `model` must have the architecture the session was built from.
   void RefreshWeights(const AdamGnn& model);
 
-  const AdamGnnConfig& config() const { return config_; }
+  /// The frozen model's config: the source model's, with a degraded
+  /// session's λ and level count.
+  const AdamGnnConfig& config() const { return model_->config(); }
 
   /// FNV-1a digest of every frozen weight matrix (shapes + raw bytes),
-  /// computed at snapshot time. Two sessions with bitwise-identical weights
-  /// have equal fingerprints; the model registry uses this as the version
-  /// identity for canary bookkeeping and rollback verification.
+  /// computed whenever the weights are copied. Two sessions with
+  /// bitwise-identical weights have equal fingerprints; the model registry
+  /// uses this as the version identity for canary bookkeeping and rollback
+  /// verification.
   uint64_t WeightsFingerprint() const { return weights_fingerprint_; }
 
   static constexpr size_t kMaxCachedPlans = 16;
 
  private:
-  struct LevelWeights {
-    tensor::Matrix fitness_weight;
-    tensor::Matrix fitness_attention;
-    tensor::Matrix init_weight;
-    tensor::Matrix init_attention;
-    tensor::Matrix conv_weight;
-    tensor::Matrix conv_bias;
-  };
-
   util::Status RunUncached(const GraphPlan& plan, Result* out) const;
-  /// The pooling cascade + flyback + node head, starting from the primary
-  /// representations h0. Shared verbatim by the single-graph path and the
-  /// per-member legs of TryRunBatch, which is what makes per-member batch
-  /// results bitwise-identical to Run by construction.
-  util::Status RunCascade(const graph::SparseMatrix& adjacency,
-                          const LevelTopology& level0, tensor::Matrix h0,
-                          Result* out) const;
-  void Snapshot(const AdamGnn& model);
+  /// AdamGnn::Cascade plus the node head from primary representations h0,
+  /// shared by the single-graph path and the per-member legs of
+  /// TryRunBatch.
+  util::Status RunFromPrimary(const graph::SparseMatrix& adjacency,
+                              const LevelTopology& level0,
+                              const autograd::Variable& h0,
+                              Result* out) const;
+  void Fingerprint();
 
-  AdamGnnConfig config_;
+  std::unique_ptr<AdamGnn> model_;
   uint64_t weights_fingerprint_ = 0;
-  tensor::Matrix input_weight_, input_bias_;
-  std::vector<LevelWeights> level_weights_;
-  tensor::Matrix flyback_weight_, flyback_attention_;
-  tensor::Matrix node_head_weight_, node_head_bias_;    // empty without head
-  tensor::Matrix graph_head_weight_, graph_head_bias_;  // empty without head
 
   // Result cache keyed by plan identity; the shared_ptrs keep cached plans
   // alive so a recycled address can never alias a stale entry. `order_`

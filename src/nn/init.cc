@@ -5,6 +5,7 @@
 namespace adamgnn::nn {
 
 tensor::Matrix GlorotUniform(size_t fan_in, size_t fan_out, util::Rng* rng) {
+  if (rng == nullptr) return tensor::Matrix(fan_in, fan_out);
   const double a =
       std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
   return tensor::Matrix::Uniform(fan_in, fan_out, -a, a, rng);

@@ -156,9 +156,9 @@ class ResilientServer {
   util::Result<ServeResult> Serve(const graph::Graph& g,
                                   const RequestOptions& request = {});
 
-  /// Re-snapshots weights into both sessions and drops every cached plan,
-  /// result, and stale entry (weights change ⇒ everything downstream is
-  /// stale). Breaker state survives: it describes the plan, not the
+  /// Copies the model's weights into both sessions and drops every cached
+  /// plan, result, and stale entry (weights change ⇒ everything downstream
+  /// is stale). Breaker state survives: it describes the plan, not the
   /// weights.
   void RefreshWeights(const core::AdamGnn& model);
 

@@ -64,7 +64,8 @@ class NodeModel {
 
   /// Eval-mode forward, used for every validation/test pass. The default
   /// wraps Forward(training=false) in a NoGradGuard so no tape is recorded;
-  /// AdamGNN overrides it with a tape-free core::InferenceSession.
+  /// AdamGNN overrides it to run the same forward under the guard without
+  /// its auxiliary losses.
   /// Evaluation only consumes logit values, so overrides may leave aux_loss
   /// undefined and ignore `rng`.
   virtual Out Evaluate(const graph::Graph& g, util::Rng* rng) {

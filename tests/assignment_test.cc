@@ -44,8 +44,6 @@ TEST(AssignmentTest, ShapeAndColumnLayout) {
   Assignment asg = BuildAssignment(f.pairs, f.sel, f.scores);
   EXPECT_EQ(asg.pattern->rows, 6u);
   EXPECT_EQ(asg.pattern->cols, f.sel.num_hyper_nodes());
-  EXPECT_EQ(asg.num_ego_columns, f.sel.selected_egos.size());
-  EXPECT_EQ(asg.hyper_to_prev.size(), f.sel.num_hyper_nodes());
   EXPECT_EQ(asg.values.rows(), asg.pattern->nnz());
 }
 
@@ -113,7 +111,7 @@ TEST(HyperFeatureTest, OutputShapeMatchesHyperNodes) {
   Assignment asg = BuildAssignment(f.pairs, f.sel, f.scores);
   util::Rng rng(7);
   HyperFeatureInit init(4, &rng);
-  Variable x_k = init.Initialise(f.pairs, f.sel, asg, f.scores, f.h);
+  Variable x_k = init.Initialise(f.sel, asg, f.scores, f.h);
   EXPECT_EQ(x_k.rows(), f.sel.num_hyper_nodes());
   EXPECT_EQ(x_k.cols(), 4u);
   EXPECT_TRUE(x_k.value().AllFinite());
@@ -124,7 +122,7 @@ TEST(HyperFeatureTest, RetainedRowsKeepTheirRepresentation) {
   Assignment asg = BuildAssignment(f.pairs, f.sel, f.scores);
   util::Rng rng(9);
   HyperFeatureInit init(4, &rng);
-  Variable x_k = init.Initialise(f.pairs, f.sel, asg, f.scores, f.h);
+  Variable x_k = init.Initialise(f.sel, asg, f.scores, f.h);
   for (size_t r = 0; r < f.sel.retained_nodes.size(); ++r) {
     const size_t row = f.sel.selected_egos.size() + r;
     for (size_t j = 0; j < 4; ++j) {
@@ -145,7 +143,7 @@ TEST(HyperFeatureTest, GradientsReachInputRepresentations) {
         // Rebuild the differentiable pipeline from the perturbed h.
         FitnessScorer::Scores scores = f.scorer.Score(f.pairs, f.h);
         Assignment a2 = BuildAssignment(f.pairs, f.sel, scores);
-        Variable x_k = init.Initialise(f.pairs, f.sel, a2, scores, f.h);
+        Variable x_k = init.Initialise(f.sel, a2, scores, f.h);
         util::Rng wrng(12);
         Matrix w = Matrix::Gaussian(x_k.rows(), x_k.cols(), 1.0, &wrng);
         return autograd::Sum(

@@ -1,7 +1,8 @@
 // Parity suite for the batch-first forward: every member of
 // InferenceSession::TryRunBatch / RunBatch must be bitwise-identical to a
 // single-graph Run on that member's own GraphPlan — across thread counts,
-// in a degraded (λ=1) session, and around per-member cancellation. Also
+// in a degraded (λ=1) session, and around per-member cancellation (a token
+// fired before the member starts, or at any checkpoint of its cascade). Also
 // covers the batch-result memoization rules (hits return identical bits,
 // partial batches are never cached, RefreshWeights invalidates).
 
@@ -17,6 +18,7 @@
 #include "obs/metrics.h"
 #include "test_util.h"
 #include "util/cancel.h"
+#include "util/fault_injection.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -161,6 +163,72 @@ TEST(BatchInferenceTest, PreFiredMemberTokenCancelsOnlyThatMember) {
   for (size_t m = 0; m < graphs.size(); ++m) {
     SCOPED_TRACE("member=" + std::to_string(m));
     ExpectBitwise(want[m], rerun[m]);
+  }
+}
+
+TEST(BatchInferenceTest, MidCascadeDeadlineCancelsOnlyThatMember) {
+  constexpr size_t kFeatureDim = 4;
+  std::vector<graph::Graph> graphs = HeterogeneousGraphs(kFeatureDim);
+  AdamGnnConfig config = SmallConfig(kFeatureDim);
+  util::Rng rng(46);
+  AdamGnn model(config, &rng);
+  InferenceSession session(model);
+  ThreadCountGuard guard;
+  util::SetNumThreads(1);  // deterministic checkpoint count
+
+  std::vector<InferenceSession::Result> want;
+  for (const graph::Graph& g : graphs) {
+    want.push_back(session.Run(GraphPlan::Build(g, config.lambda)));
+  }
+  const graph::GraphBatch batch = BatchOf(graphs);
+
+  for (size_t target = 0; target < graphs.size(); ++target) {
+    // Only the target carries a deadline, so the injected clock counts only
+    // the target's checks: its pre-launch check, then every checkpoint of
+    // its cascade and head.
+    auto tokens = [&] {
+      std::vector<util::CancelToken> t(graphs.size());
+      t[target] = util::CancelToken::WithTimeout(3600.0);
+      return t;
+    };
+    // Fresh plans throughout: a successful batch is memoized per plan.
+    int total_checks = 0;
+    {
+      util::ScopedFaultPlan dry(util::FaultPlan{});
+      std::vector<InferenceSession::BatchItem> items;
+      ASSERT_TRUE(session
+                      .TryRunBatch(BatchPlan::Build(batch, config.lambda),
+                                   tokens(), &items)
+                      .ok());
+      for (size_t m = 0; m < graphs.size(); ++m) {
+        ASSERT_TRUE(items[m].status.ok());
+        ExpectBitwise(want[m], items[m].result);
+      }
+      total_checks = util::FaultInjector::Instance().OpCount(
+          util::FaultOp::kDeadlineCheck);
+    }
+    ASSERT_GT(total_checks, 5) << "target=" << target;
+
+    for (int n = 1; n <= total_checks; ++n) {
+      SCOPED_TRACE("target=" + std::to_string(target) +
+                   " check=" + std::to_string(n) + "/" +
+                   std::to_string(total_checks));
+      util::ScopedFaultPlan fault(
+          util::FaultPlan{.expire_deadline_at_check = n});
+      std::vector<InferenceSession::BatchItem> items;
+      ASSERT_TRUE(session
+                      .TryRunBatch(BatchPlan::Build(batch, config.lambda),
+                                   tokens(), &items)
+                      .ok());
+      ASSERT_EQ(items.size(), graphs.size());
+      EXPECT_EQ(items[target].status.code(),
+                util::StatusCode::kDeadlineExceeded);
+      for (size_t m = 0; m < graphs.size(); ++m) {
+        if (m == target) continue;
+        ASSERT_TRUE(items[m].status.ok()) << "member=" << m;
+        ExpectBitwise(want[m], items[m].result);
+      }
+    }
   }
 }
 

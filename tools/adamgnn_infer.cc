@@ -69,6 +69,7 @@
 #include <utility>
 #include <vector>
 
+#include "autograd/variable.h"
 #include "core/adamgnn_model.h"
 #include "nn/linear.h"
 #include "nn/serialize.h"
@@ -684,8 +685,10 @@ int main(int argc, char** argv) {
     }
   } else {
     // Decoder-space link scores for every edge of the input graph.
-    tensor::Matrix h = nn::Linear::ForwardValues(
-        result.embeddings, projection.weight().value(), tensor::Matrix());
+    autograd::NoGradGuard no_grad;
+    const tensor::Matrix h =
+        projection.Forward(autograd::Variable::Constant(result.embeddings))
+            .value();
     for (graph::NodeId u = 0; static_cast<size_t>(u) < g.num_nodes(); ++u) {
       for (graph::NodeId v : g.Neighbors(u)) {
         if (v < u) continue;  // each undirected edge once

@@ -3,7 +3,8 @@
 # normally, once with ADAMGNN_ISA=scalar forcing the portable kernel
 # variant, once under ThreadSanitizer with the kernel pool forced to four
 # threads, once under AddressSanitizer, and a UBSan pass over the kernel
-# suites — then smoke-test the trainer CLI with --threads=4 including a
+# suites, and perfbench's own fidelity checks on every workload — then
+# smoke-test the trainer CLI with --threads=4 including a
 # checkpoint/resume round trip, and drill the serving path under injected
 # deadlines and allocation faults. The last two legs soak the hot-swap
 # machinery: a deterministic seeded chaos run under ASan and TSan, and a
@@ -53,6 +54,25 @@ echo "==> bench smoke (small shapes; exercises the sparse engine A/B paths)"
 rm -f /tmp/adamgnn_bench_epoch_smoke.json \
     /tmp/adamgnn_bench_kernels_smoke.json \
     /tmp/adamgnn_bench_serve_batch_smoke.json
+
+echo "==> perfbench fidelity checks (every workload, seed 97, 1 s)"
+# perfbench (python3 perfbench/run.py, built from this checkout into
+# .bench_build/) checks its own results on every run: the train_node loss
+# trajectory against the recorded one, infer_fresh logits bitwise against
+# AdamGnn::Forward, serve_mix responses bitwise against a bare session. A
+# workload passes only with exit 0 and "correct": true on its result line.
+for workload in train_node infer_fresh serve_mix; do
+  if ! RESULT="$(python3 perfbench/run.py --workload "${workload}" \
+      --seed 97 --seconds 1 --trace 0 | tail -n 1)"; then
+    echo "FAIL: perfbench ${workload} exited nonzero" >&2
+    exit 1
+  fi
+  echo "${RESULT}"
+  if ! grep -q '"correct": true' <<<"${RESULT}"; then
+    echo "FAIL: perfbench ${workload} result is not correct" >&2
+    exit 1
+  fi
+done
 
 # The TSan ctest leg below exercises the engine's concurrency surface:
 # sparse_matrix_test's ConcurrentFirstUseBuildsTheViewOnce races four

@@ -138,21 +138,24 @@ Variable MeanSquaredError(const Variable& pred, const Matrix& target) {
       }));
 }
 
-Variable EdgeDotProduct(const Variable& h,
-                        std::vector<std::pair<size_t, size_t>> pairs) {
-  ADAMGNN_CHECK(!pairs.empty());
+Variable EdgeDotProduct(const Variable& h, const std::vector<size_t>& u,
+                        const std::vector<size_t>& v) {
+  ADAMGNN_CHECK(!u.empty());
   auto ph = h.node();
   const size_t d = h.cols();
-  Matrix out = tensor::EdgeDots(h.value(), pairs);
+  Matrix out = tensor::EdgeDots(h.value(), u, v);
+  const bool keep = internal::Records(*ph);
   return Variable::FromNode(NewOpNode(
-      std::move(out), {ph}, [ph, pairs = std::move(pairs), d](Node& self) {
+      std::move(out), {ph},
+      [ph, u = keep ? u : std::vector<size_t>(),
+       v = keep ? v : std::vector<size_t>(), d](Node& self) {
         Matrix dh(ph->value.rows(), d);
-        for (size_t e = 0; e < pairs.size(); ++e) {
+        for (size_t e = 0; e < u.size(); ++e) {
           const double g = self.grad(e, 0);
-          const double* hu = ph->value.row(pairs[e].first);
-          const double* hv = ph->value.row(pairs[e].second);
-          double* du = dh.row(pairs[e].first);
-          double* dv = dh.row(pairs[e].second);
+          const double* hu = ph->value.row(u[e]);
+          const double* hv = ph->value.row(v[e]);
+          double* du = dh.row(u[e]);
+          double* dv = dh.row(v[e]);
           for (size_t j = 0; j < d; ++j) {
             du[j] += g * hv[j];
             dv[j] += g * hu[j];

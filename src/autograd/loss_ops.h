@@ -32,11 +32,11 @@ Variable BinaryCrossEntropyWithLogits(const Variable& logits,
 /// Mean squared error against a constant target of the same shape.
 Variable MeanSquaredError(const Variable& pred, const tensor::Matrix& target);
 
-/// logits_e = h.row(u_e) · h.row(v_e) for each pair (m x 1). This is the
+/// logits_e = h.row(u[e]) · h.row(v[e]) for each pair (m x 1). This is the
 /// decoder of the reconstruction loss A' = σ(H Hᵀ) restricted to sampled
-/// entries, and the link-prediction scorer.
-Variable EdgeDotProduct(const Variable& h,
-                        std::vector<std::pair<size_t, size_t>> pairs);
+/// entries, the link-prediction scorer, and Eq. 2's f^c term.
+Variable EdgeDotProduct(const Variable& h, const std::vector<size_t>& u,
+                        const std::vector<size_t>& v);
 
 /// Student-t self-optimisation clustering loss (Xie et al. 2016; Eq. 5):
 /// soft assignment q_ij of every node j to every ego i (μ = 1), sharpened

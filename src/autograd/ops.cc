@@ -263,11 +263,13 @@ Variable SliceCols(const Variable& x, size_t start, size_t len) {
       }));
 }
 
-Variable GatherRows(const Variable& x, std::vector<size_t> indices) {
+Variable GatherRows(const Variable& x, const std::vector<size_t>& indices) {
   auto px = x.node();
   Matrix out = x.value().GatherRows(indices);
+  std::vector<size_t> kept =
+      internal::Records(*px) ? indices : std::vector<size_t>();
   return Variable::FromNode(NewOpNode(
-      std::move(out), {px}, [px, idx = std::move(indices)](Node& self) {
+      std::move(out), {px}, [px, idx = std::move(kept)](Node& self) {
         AccumulateGrad(px.get(),
                        tensor::IndexAddRows(self.grad, idx, px->value.rows()));
       }));

@@ -40,6 +40,14 @@ std::shared_ptr<Node> NewOpNode(
   }
   return node;
 }
+
+/// True when `parent` makes an op record its pullback: NewOpNode records
+/// when any parent requires gradients and recording is enabled. Ops copy
+/// index lists that only the pullback reads under this test, so eval and
+/// serving forwards borrow them instead.
+inline bool Records(const Node& parent) {
+  return parent.requires_grad && GradEnabled();
+}
 }  // namespace internal
 
 /// a + b (same shape).
@@ -83,7 +91,7 @@ Variable ConcatRows(const Variable& a, const Variable& b);
 Variable SliceCols(const Variable& x, size_t start, size_t len);
 
 /// Row gather: out.row(i) = x.row(indices[i]); indices may repeat.
-Variable GatherRows(const Variable& x, std::vector<size_t> indices);
+Variable GatherRows(const Variable& x, const std::vector<size_t>& indices);
 
 /// Row scatter (inverse of gather): out has num_rows rows, out.row(idx[i])
 /// += x.row(i); rows not referenced stay zero. Used by Graph U-Net unpooling.

@@ -14,15 +14,17 @@ namespace adamgnn::autograd {
 using internal::AccumulateGrad;
 using internal::NewOpNode;
 using internal::Node;
+using internal::Records;
 using tensor::Matrix;
 
-Variable SegmentSum(const Variable& x, std::vector<size_t> segments,
+Variable SegmentSum(const Variable& x, const std::vector<size_t>& segments,
                     size_t num_segments) {
   ADAMGNN_CHECK_EQ(segments.size(), x.rows());
   auto px = x.node();
   Matrix out = tensor::SegmentSum(x.value(), segments, num_segments);
+  std::vector<size_t> kept = Records(*px) ? segments : std::vector<size_t>();
   return Variable::FromNode(NewOpNode(
-      std::move(out), {px}, [px, seg = std::move(segments)](Node& self) {
+      std::move(out), {px}, [px, seg = std::move(kept)](Node& self) {
         Matrix d(px->value.rows(), px->value.cols());
         for (size_t i = 0; i < seg.size(); ++i) {
           const double* g = self.grad.row(seg[i]);
@@ -32,7 +34,7 @@ Variable SegmentSum(const Variable& x, std::vector<size_t> segments,
       }));
 }
 
-Variable SegmentMean(const Variable& x, std::vector<size_t> segments,
+Variable SegmentMean(const Variable& x, const std::vector<size_t>& segments,
                      size_t num_segments) {
   ADAMGNN_CHECK_EQ(segments.size(), x.rows());
   auto px = x.node();
@@ -45,9 +47,10 @@ Variable SegmentMean(const Variable& x, std::vector<size_t> segments,
     if (c > 0.0) c = 1.0 / c;
   }
   Matrix out = tensor::SegmentMean(x.value(), segments, num_segments);
+  std::vector<size_t> kept = Records(*px) ? segments : std::vector<size_t>();
   return Variable::FromNode(
       NewOpNode(std::move(out), {px},
-                [px, seg = std::move(segments), inv_counts](Node& self) {
+                [px, seg = std::move(kept), inv_counts](Node& self) {
                   Matrix d(px->value.rows(), px->value.cols());
                   for (size_t i = 0; i < seg.size(); ++i) {
                     const double w = inv_counts[seg[i]];
@@ -59,7 +62,7 @@ Variable SegmentMean(const Variable& x, std::vector<size_t> segments,
                 }));
 }
 
-Variable SegmentMax(const Variable& x, std::vector<size_t> segments,
+Variable SegmentMax(const Variable& x, const std::vector<size_t>& segments,
                     size_t num_segments) {
   ADAMGNN_CHECK_EQ(segments.size(), x.rows());
   auto px = x.node();
@@ -82,15 +85,17 @@ Variable SegmentMax(const Variable& x, std::vector<size_t> segments,
       }));
 }
 
-Variable SegmentSoftmax(const Variable& scores, std::vector<size_t> segments,
+Variable SegmentSoftmax(const Variable& scores,
+                        const std::vector<size_t>& segments,
                         size_t num_segments) {
   ADAMGNN_CHECK_EQ(scores.cols(), 1u);
   ADAMGNN_CHECK_EQ(segments.size(), scores.rows());
   auto ps = scores.node();
   Matrix out = tensor::SegmentSoftmax(scores.value(), segments, num_segments);
+  std::vector<size_t> kept = Records(*ps) ? segments : std::vector<size_t>();
   return Variable::FromNode(NewOpNode(
       std::move(out), {ps},
-      [ps, seg = std::move(segments), num_segments](Node& self) {
+      [ps, seg = std::move(kept), num_segments](Node& self) {
         // ds_i = p_i (g_i - Σ_{j in seg} p_j g_j)
         std::vector<double> seg_dot(num_segments, 0.0);
         const size_t m2 = self.value.rows();
@@ -103,6 +108,53 @@ Variable SegmentSoftmax(const Variable& scores, std::vector<size_t> segments,
         }
         AccumulateGrad(ps.get(), d);
       }));
+}
+
+Variable PairLogits(const Variable& s, const std::vector<size_t>& member,
+                    const std::vector<size_t>& ego, const Variable& scale) {
+  ADAMGNN_CHECK_EQ(s.cols(), 2u);
+  ADAMGNN_CHECK_EQ(member.size(), ego.size());
+  const size_t n = s.rows();
+  for (size_t p = 0; p < member.size(); ++p) {
+    ADAMGNN_CHECK_LT(member[p], n);
+    ADAMGNN_CHECK_LT(ego[p], n);
+  }
+  auto ps = s.node();
+  std::shared_ptr<Node> pc;  // null: scale_p = 1
+  if (scale.defined()) {
+    ADAMGNN_CHECK_EQ(scale.rows(), member.size());
+    ADAMGNN_CHECK_EQ(scale.cols(), 1u);
+    pc = scale.node();
+  }
+  const Matrix& sv = s.value();
+  Matrix out = Matrix::Uninit(member.size(), 1);
+  for (size_t p = 0; p < member.size(); ++p) {
+    const double w = pc ? pc->value(p, 0) : 1.0;  // × 1.0 is exact
+    out(p, 0) = w * sv(member[p], 0) + sv(ego[p], 1);
+  }
+  const bool keep = Records(*ps) || (pc && Records(*pc));
+  auto pullback = [ps, pc, m = keep ? member : std::vector<size_t>(),
+                   e = keep ? ego : std::vector<size_t>()](Node& self) {
+    if (ps->requires_grad) {
+      Matrix ds(ps->value.rows(), 2);
+      for (size_t p = 0; p < m.size(); ++p) {
+        const double g = self.grad(p, 0);
+        ds(m[p], 0) += pc ? pc->value(p, 0) * g : g;
+        ds(e[p], 1) += g;
+      }
+      AccumulateGrad(ps.get(), std::move(ds));
+    }
+    if (pc && pc->requires_grad) {
+      Matrix dc = Matrix::Uninit(m.size(), 1);
+      for (size_t p = 0; p < m.size(); ++p) {
+        dc(p, 0) = self.grad(p, 0) * ps->value(m[p], 0);
+      }
+      AccumulateGrad(pc.get(), std::move(dc));
+    }
+  };
+  return Variable::FromNode(
+      pc ? NewOpNode(std::move(out), {ps, pc}, std::move(pullback))
+         : NewOpNode(std::move(out), {ps}, std::move(pullback)));
 }
 
 }  // namespace adamgnn::autograd

@@ -128,17 +128,6 @@ std::shared_ptr<const SparsePattern::EntryGroups> SparsePattern::ColGroups()
   return cache->by_col;
 }
 
-graph::SparseMatrix SparsePattern::WithValues(
-    const std::vector<double>& values) const {
-  ADAMGNN_CHECK_EQ(values.size(), nnz());
-  std::vector<graph::Triplet> t;
-  t.reserve(nnz());
-  for (size_t k = 0; k < nnz(); ++k) {
-    t.push_back({row_indices[k], col_indices[k], values[k]});
-  }
-  return graph::SparseMatrix::FromTriplets(rows, cols, std::move(t));
-}
-
 Variable SpMM(std::shared_ptr<const graph::SparseMatrix> s,
               const Variable& x) {
   ADAMGNN_CHECK(s != nullptr);

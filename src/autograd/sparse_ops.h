@@ -27,9 +27,6 @@ struct SparsePattern {
 
   size_t nnz() const { return row_indices.size(); }
 
-  /// Materializes a concrete sparse matrix with the given values.
-  graph::SparseMatrix WithValues(const std::vector<double>& values) const;
-
   /// Entries grouped by one coordinate, for gather-style SpMMValues kernels:
   /// group g owns entry ids order[offsets[g] .. offsets[g+1]), ascending
   /// within each group (= the serial scatter kernel's summation order).

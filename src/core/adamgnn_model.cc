@@ -6,6 +6,7 @@
 #include "autograd/segment_ops.h"
 #include "core/losses.h"
 #include "core/unpooling.h"
+#include "obs/trace.h"
 #include "util/cancel.h"
 #include "util/logging.h"
 
@@ -130,8 +131,14 @@ util::Status AdamGnn::Cascade(const graph::SparseMatrix& adjacency,
     const EgoPairs& pairs = cur_topo->pairs;
     if (pairs.num_pairs() == 0) break;  // no edges left to pool over
 
-    FitnessScorer::Scores scores = fitness_[static_cast<size_t>(k)]->Score(
-        *cur_topo, h_prev);
+    FitnessScorer::Scores scores;
+    {
+      obs::TraceSpan span("stage.fitness");
+      span.Note("level", k);
+      span.Note("pairs", static_cast<double>(pairs.num_pairs()));
+      span.Note("nnz", static_cast<double>(cur_adj->nnz()));
+      scores = fitness_[static_cast<size_t>(k)]->Score(pairs, h_prev);
+    }
     ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
     Selection sel =
         SelectEgoNetworks(scores.ego_phi.value(), cur_topo->adjacency, pairs);
@@ -143,9 +150,17 @@ util::Status AdamGnn::Cascade(const graph::SparseMatrix& adjacency,
         sel, asg, scores, h_prev);
     ADAMGNN_RETURN_NOT_OK(util::CheckCancel());
 
-    graph::SparseMatrix next_adj = NextAdjacency(*cur_adj, asg);
-    auto norm_next =
-        std::make_shared<const graph::SparseMatrix>(next_adj.Normalized());
+    graph::SparseMatrix next_adj;
+    std::shared_ptr<const graph::SparseMatrix> norm_next;
+    {
+      obs::TraceSpan span("stage.coarsen");
+      span.Note("level", k);
+      span.Note("pairs", static_cast<double>(pairs.num_pairs()));
+      next_adj = NextAdjacency(*cur_adj, asg);
+      norm_next =
+          std::make_shared<const graph::SparseMatrix>(next_adj.Normalized());
+      span.Note("nnz", static_cast<double>(next_adj.nnz()));
+    }
     // A_k's values are learned, so this operator is rebuilt every forward;
     // prewarming moves its one transposed-view build off the backward pass
     // (where the gather SpMMᵀ would otherwise build it lazily mid-gradient).

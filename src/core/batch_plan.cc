@@ -91,11 +91,6 @@ util::Result<std::shared_ptr<const BatchPlan>> BatchPlan::TryBuild(
       member_row.reserve(merged_row.size());
       for (size_t u : merged_row) member_row.push_back(u - view.base);
     }
-    view.level0.dot_pairs.resize(view.level0.pairs.num_pairs());
-    for (size_t p = 0; p < view.level0.pairs.num_pairs(); ++p) {
-      view.level0.dot_pairs[p] = {view.level0.pairs.member[p],
-                                  view.level0.pairs.ego[p]};
-    }
     plan->members_.push_back(std::move(view));
   }
   ADAMGNN_DCHECK_EQ(pair_cursor, pairs.num_pairs());

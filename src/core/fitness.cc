@@ -6,7 +6,6 @@
 #include "autograd/loss_ops.h"
 #include "autograd/ops.h"
 #include "autograd/segment_ops.h"
-#include "core/graph_plan.h"
 #include "nn/init.h"
 #include "util/cancel.h"
 #include "util/logging.h"
@@ -68,34 +67,33 @@ FitnessScorer::FitnessScorer(size_t dim, util::Rng* rng, FitnessMode mode)
       autograd::Variable::Parameter(nn::GlorotUniform(2 * dim, 1, rng));
 }
 
-namespace {
-
-// Shared body of the two Score overloads: `dot_pairs` is the (member, ego)
-// gather list aligned with `pairs`.
-FitnessScorer::Scores ScoreImpl(
-    const EgoPairs& pairs,
-    std::vector<std::pair<size_t, size_t>> dot_pairs,
-    const autograd::Variable& h, const autograd::Variable& weight,
-    const autograd::Variable& attention, FitnessMode mode) {
+FitnessScorer::Scores FitnessScorer::Score(const EgoPairs& pairs,
+                                           const autograd::Variable& h) const {
   ADAMGNN_CHECK_GT(pairs.num_pairs(), 0u);
-  autograd::Variable wh = autograd::MatMul(h, weight);
-  autograd::Variable wh_member = autograd::GatherRows(wh, pairs.member);
-  autograd::Variable wh_ego = autograd::GatherRows(wh, pairs.ego);
 
-  // f^s: attention logits normalized within each ego-network.
-  autograd::Variable logits = autograd::LeakyRelu(
-      autograd::MatMul(autograd::ConcatCols(wh_member, wh_ego), attention),
-      0.2);
-  std::vector<size_t> segments = pairs.ego;
-  autograd::Variable f_s = autograd::SegmentSoftmax(
-      logits, std::move(segments), pairs.num_nodes);
+  // f^s: attention logits normalized within each ego-network. Splitting
+  // a = [a_m; a_e] factors [Wh_m ‖ Wh_e]·a into (hW·a_m)[m] + (hW·a_e)[e]:
+  // one n x 2 product s = h·(W·[a_m a_e]), then scalar gathers per pair.
+  autograd::Variable f_s;
+  if (mode_ != FitnessMode::kSigmoidOnly) {
+    autograd::Variable a_cols =
+        autograd::Transpose(autograd::Reshape(attention_, 2, h.cols()));
+    autograd::Variable s =
+        autograd::MatMul(h, autograd::MatMul(weight_, a_cols));
+    autograd::Variable logits = autograd::LeakyRelu(
+        autograd::PairLogits(s, pairs.member, pairs.ego), 0.2);
+    f_s = autograd::SegmentSoftmax(logits, pairs.ego, pairs.num_nodes);
+  }
 
   // f^c: linearity between member and ego representations.
-  autograd::Variable f_c = autograd::Sigmoid(
-      autograd::EdgeDotProduct(h, std::move(dot_pairs)));
+  autograd::Variable f_c;
+  if (mode_ != FitnessMode::kAttentionOnly) {
+    f_c = autograd::Sigmoid(
+        autograd::EdgeDotProduct(h, pairs.member, pairs.ego));
+  }
 
-  FitnessScorer::Scores scores;
-  switch (mode) {
+  Scores scores;
+  switch (mode_) {
     case FitnessMode::kBoth:
       scores.pair_phi = autograd::CwiseMul(f_s, f_c);
       break;
@@ -109,22 +107,6 @@ FitnessScorer::Scores ScoreImpl(
   scores.ego_phi = autograd::SegmentMean(scores.pair_phi, pairs.ego,
                                          pairs.num_nodes);
   return scores;
-}
-
-}  // namespace
-
-FitnessScorer::Scores FitnessScorer::Score(const EgoPairs& pairs,
-                                           const autograd::Variable& h) const {
-  std::vector<std::pair<size_t, size_t>> dot_pairs(pairs.num_pairs());
-  for (size_t p = 0; p < pairs.num_pairs(); ++p) {
-    dot_pairs[p] = {pairs.member[p], pairs.ego[p]};
-  }
-  return ScoreImpl(pairs, std::move(dot_pairs), h, weight_, attention_, mode_);
-}
-
-FitnessScorer::Scores FitnessScorer::Score(const LevelTopology& topo,
-                                           const autograd::Variable& h) const {
-  return ScoreImpl(topo.pairs, topo.dot_pairs, h, weight_, attention_, mode_);
 }
 
 std::vector<autograd::Variable> FitnessScorer::Parameters() const {

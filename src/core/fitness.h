@@ -40,8 +40,6 @@ std::vector<std::vector<size_t>> AdjacencyLists(const graph::Graph& g);
 /// two modes exist for the ablation bench.
 enum class FitnessMode { kBoth, kAttentionOnly, kSigmoidOnly };
 
-struct LevelTopology;  // core/graph_plan.h
-
 class FitnessScorer : public nn::Module {
  public:
   FitnessScorer(size_t dim, util::Rng* rng,
@@ -54,12 +52,9 @@ class FitnessScorer : public nn::Module {
     autograd::Variable ego_phi;
   };
 
-  /// h: (num_nodes x dim) current-level representations.
+  /// h: (num_nodes x dim) current-level representations. The pair index
+  /// lists are borrowed; an op copies one only when it records a pullback.
   Scores Score(const EgoPairs& pairs, const autograd::Variable& h) const;
-
-  /// Same scores over a precomputed level topology (reuses its dot-pair
-  /// gather list instead of rebuilding it per call).
-  Scores Score(const LevelTopology& topo, const autograd::Variable& h) const;
 
   std::vector<autograd::Variable> Parameters() const override;
 

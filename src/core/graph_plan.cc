@@ -14,10 +14,6 @@ LevelTopology LevelTopology::FromAdjacency(
   LevelTopology topo;
   topo.pairs = EgoPairs::Build(adjacency, lambda);
   topo.adjacency = std::move(adjacency);
-  topo.dot_pairs.resize(topo.pairs.num_pairs());
-  for (size_t p = 0; p < topo.pairs.num_pairs(); ++p) {
-    topo.dot_pairs[p] = {topo.pairs.member[p], topo.pairs.ego[p]};
-  }
   return topo;
 }
 

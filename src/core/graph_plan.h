@@ -27,16 +27,13 @@
 
 namespace adamgnn::core {
 
-/// The structure of one pooling level: λ-hop ego memberships, the 1-hop
-/// lists the local-max selection compares over, and the (member, ego) pair
-/// list fed to the f^c dot products. Level 0's instance lives in the
-/// GraphPlan; deeper levels are derived on the fly because their topology
-/// depends on the weight-dependent selections of the level below.
+/// The structure of one pooling level: λ-hop ego memberships and the 1-hop
+/// lists the local-max selection compares over. Level 0's instance lives in
+/// the GraphPlan; deeper levels are derived on the fly because their
+/// topology depends on the weight-dependent selections of the level below.
 struct LevelTopology {
   EgoPairs pairs;
   std::vector<std::vector<size_t>> adjacency;
-  /// (member[p], ego[p]) per pair — the gather list for Eq. 2's f^c.
-  std::vector<std::pair<size_t, size_t>> dot_pairs;
 
   /// Enumerates the level's topology from its 1-hop adjacency lists.
   static LevelTopology FromAdjacency(std::vector<std::vector<size_t>> adjacency,

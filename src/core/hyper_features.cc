@@ -29,19 +29,21 @@ autograd::Variable HyperFeatureInit::Initialise(
     // Member contributions, attention-weighted per selected ego-network.
     autograd::Variable h_member =
         autograd::GatherRows(h_prev, assignment.member_rows);
-    autograd::Variable h_ego =
-        autograd::GatherRows(h_prev, assignment.ego_rows);
     autograd::Variable phi =
         autograd::GatherRows(scores.pair_phi, assignment.kept_pair_indices);
 
-    // aᵀ LeakyReLU(W(φ_ij · h_j) ‖ h_i)
-    autograd::Variable scaled_member =
-        autograd::MulColBroadcast(h_member, phi);
+    // aᵀ LeakyReLU(W(φ_ij · h_j) ‖ h_i). Splitting a = [a_1; a_2] factors
+    // the logit into φ_ij·(H·W·a_1)[j] + (H·a_2)[i]: one n x 2 product
+    // s = H·[W·a_1 | a_2], then scalar gathers per kept pair.
+    autograd::Variable a_cols = autograd::Transpose(
+        autograd::Reshape(attention_, 2, h_prev.cols()));
+    autograd::Variable proj = autograd::ConcatCols(
+        autograd::MatMul(weight_, autograd::SliceCols(a_cols, 0, 1)),
+        autograd::SliceCols(a_cols, 1, 1));
     autograd::Variable logits = autograd::LeakyRelu(
-        autograd::MatMul(
-            autograd::ConcatCols(autograd::MatMul(scaled_member, weight_),
-                                 h_ego),
-            attention_),
+        autograd::PairLogits(autograd::MatMul(h_prev, proj),
+                             assignment.member_rows, assignment.ego_rows,
+                             phi),
         0.2);
     autograd::Variable alpha =
         autograd::SegmentSoftmax(logits, assignment.init_segments, num_egos);

@@ -9,14 +9,14 @@ autograd::Variable ReconstructionLoss(const autograd::Variable& h,
                                       const graph::Graph& g, util::Rng* rng,
                                       int neg_per_pos) {
   ADAMGNN_CHECK_GE(neg_per_pos, 1);
-  std::vector<std::pair<size_t, size_t>> pairs;
+  std::vector<size_t> src, dst;
   std::vector<double> targets;
   for (const graph::Edge& e : g.UndirectedEdges()) {
-    pairs.emplace_back(static_cast<size_t>(e.src),
-                       static_cast<size_t>(e.dst));
+    src.push_back(static_cast<size_t>(e.src));
+    dst.push_back(static_cast<size_t>(e.dst));
     targets.push_back(1.0);
   }
-  const size_t num_pos = pairs.size();
+  const size_t num_pos = src.size();
   ADAMGNN_CHECK_GT(num_pos, 0u);
   const size_t n = g.num_nodes();
   size_t wanted = num_pos * static_cast<size_t>(neg_per_pos);
@@ -29,11 +29,12 @@ autograd::Variable ReconstructionLoss(const autograd::Variable& h,
                   static_cast<graph::NodeId>(v))) {
       continue;
     }
-    pairs.emplace_back(u, v);
+    src.push_back(u);
+    dst.push_back(v);
     targets.push_back(0.0);
     --wanted;
   }
-  autograd::Variable logits = autograd::EdgeDotProduct(h, std::move(pairs));
+  autograd::Variable logits = autograd::EdgeDotProduct(h, src, dst);
   return autograd::BinaryCrossEntropyWithLogits(logits, targets);
 }
 
@@ -42,11 +43,16 @@ autograd::Variable ReconstructionLossOnEdges(
     const std::vector<std::pair<size_t, size_t>>& positives,
     const std::vector<std::pair<size_t, size_t>>& negatives) {
   ADAMGNN_CHECK(!positives.empty());
-  std::vector<std::pair<size_t, size_t>> pairs = positives;
-  pairs.insert(pairs.end(), negatives.begin(), negatives.end());
+  std::vector<size_t> src, dst;
+  for (const auto* edges : {&positives, &negatives}) {
+    for (const auto& [u, v] : *edges) {
+      src.push_back(u);
+      dst.push_back(v);
+    }
+  }
   std::vector<double> targets(positives.size(), 1.0);
-  targets.resize(pairs.size(), 0.0);
-  autograd::Variable logits = autograd::EdgeDotProduct(h, std::move(pairs));
+  targets.resize(src.size(), 0.0);
+  autograd::Variable logits = autograd::EdgeDotProduct(h, src, dst);
   return autograd::BinaryCrossEntropyWithLogits(logits, targets);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -61,6 +62,75 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
   return m;
 }
 
+namespace {
+
+// Counting-sort transpose of a rows x cols CSR into cols x rows CSR.
+// Walking the rows in ascending order lands every output row's entries in
+// ascending original-row order. With `drop_zeros`, exact zeros are skipped.
+void TransposeCsr(size_t rows, size_t cols, const std::vector<size_t>& offsets,
+                  const std::vector<size_t>& col_indices,
+                  const std::vector<double>& values, bool drop_zeros,
+                  std::vector<size_t>* t_offsets,
+                  std::vector<size_t>* t_col_indices,
+                  std::vector<double>* t_values) {
+  t_offsets->assign(cols + 1, 0);
+  for (size_t k = 0; k < col_indices.size(); ++k) {
+    if (drop_zeros && values[k] == 0.0) continue;
+    ++(*t_offsets)[col_indices[k] + 1];
+  }
+  for (size_t i = 1; i <= cols; ++i) (*t_offsets)[i] += (*t_offsets)[i - 1];
+  t_col_indices->resize(t_offsets->back());
+  t_values->resize(t_offsets->back());
+  std::vector<size_t> cursor(t_offsets->begin(), t_offsets->end() - 1);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
+      if (drop_zeros && values[k] == 0.0) continue;
+      const size_t pos = cursor[col_indices[k]]++;
+      (*t_col_indices)[pos] = r;
+      (*t_values)[pos] = values[k];
+    }
+  }
+}
+
+}  // namespace
+
+SparseMatrix SparseMatrix::FromCoordinates(
+    size_t rows, size_t cols, const std::vector<size_t>& row_indices,
+    const std::vector<size_t>& col_indices, const std::vector<double>& values) {
+  const size_t n = row_indices.size();
+  ADAMGNN_CHECK_EQ(col_indices.size(), n);
+  ADAMGNN_CHECK_EQ(values.size(), n);
+  for (size_t k = 0; k < n; ++k) {
+    ADAMGNN_CHECK_LT(row_indices[k], rows);
+    ADAMGNN_CHECK_LT(col_indices[k], cols);
+  }
+  // Bucket the entries by column (input order within a bucket), then
+  // transpose the buckets: every row comes out with ascending columns.
+  std::vector<size_t> by_col_offsets(cols + 1, 0);
+  for (size_t c : col_indices) ++by_col_offsets[c + 1];
+  for (size_t i = 1; i <= cols; ++i) by_col_offsets[i] += by_col_offsets[i - 1];
+  std::vector<size_t> by_col_rows(n);
+  std::vector<double> by_col_values(n);
+  std::vector<size_t> cursor(by_col_offsets.begin(), by_col_offsets.end() - 1);
+  for (size_t k = 0; k < n; ++k) {
+    const size_t pos = cursor[col_indices[k]]++;
+    by_col_rows[pos] = row_indices[k];
+    by_col_values[pos] = values[k];
+  }
+  SparseMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  TransposeCsr(cols, rows, by_col_offsets, by_col_rows, by_col_values,
+               /*drop_zeros=*/true, &m.row_offsets_, &m.col_indices_,
+               &m.values_);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t k = m.row_offsets_[r] + 1; k < m.row_offsets_[r + 1]; ++k) {
+      ADAMGNN_CHECK_LT(m.col_indices_[k - 1], m.col_indices_[k]);
+    }
+  }
+  return m;
+}
+
 SparseMatrix SparseMatrix::Identity(size_t n) {
   std::vector<Triplet> t;
   t.reserve(n);
@@ -86,12 +156,52 @@ SparseMatrix SparseMatrix::NormalizedAdjacency(const Graph& g) {
   return Adjacency(g).Normalized();
 }
 
+template <typename Value>
+SparseMatrix SparseMatrix::MapPlusIdentity(Value&& value) const {
+  ADAMGNN_CHECK_EQ(rows_, cols_);
+  SparseMatrix m;
+  m.rows_ = rows_;
+  m.cols_ = cols_;
+  m.row_offsets_.assign(rows_ + 1, 0);
+  m.col_indices_.reserve(nnz() + rows_);
+  m.values_.reserve(nnz() + rows_);
+  auto emit = [&](size_t r, size_t c, double v) {
+    const double out = value(r, c, v);
+    if (out == 0.0) return;
+    m.col_indices_.push_back(c);
+    m.values_.push_back(out);
+  };
+  for (size_t r = 0; r < rows_; ++r) {
+    bool placed = false;  // the identity's 1.0 for this row
+    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
+      const size_t c = col_indices_[k];
+      if (!placed && c > r) {
+        emit(r, r, 1.0);
+        placed = true;
+      }
+      if (c == r) {
+        emit(r, c, values_[k] + 1.0);
+        placed = true;
+      } else {
+        emit(r, c, values_[k]);
+      }
+    }
+    if (!placed) emit(r, r, 1.0);
+    m.row_offsets_[r + 1] = m.col_indices_.size();
+  }
+  return m;
+}
+
+SparseMatrix SparseMatrix::PlusIdentity() const {
+  return MapPlusIdentity([](size_t, size_t, double v) { return v; });
+}
+
 SparseMatrix SparseMatrix::Normalized() const {
   ADAMGNN_CHECK_EQ(rows_, cols_);
   const size_t n = rows_;
-  // Â = A + I; D̂_ii = sum_j Â_ij; return D̂^{-1/2} Â D̂^{-1/2}.
-  std::vector<Triplet> hat;
-  hat.reserve(nnz() + n);
+  // Â = A + I; D̂_ii = sum_j Â_ij; return D̂^{-1/2} Â D̂^{-1/2}. Each degree
+  // sums the row in CSR order with the identity folded into an existing
+  // diagonal, and adds a missing diagonal's 1.0 last.
   std::vector<double> degree(n, 0.0);
   for (size_t r = 0; r < n; ++r) {
     bool has_diag = false;
@@ -99,24 +209,17 @@ SparseMatrix SparseMatrix::Normalized() const {
       ADAMGNN_CHECK_GE(values_[k], 0.0);
       double v = values_[k];
       if (col_indices_[k] == r) {
-        v += 1.0;  // merge the added identity into an existing diagonal
+        v += 1.0;
         has_diag = true;
       }
-      hat.push_back({r, col_indices_[k], v});
       degree[r] += v;
     }
-    if (!has_diag) {
-      hat.push_back({r, r, 1.0});
-      degree[r] += 1.0;
-    }
+    if (!has_diag) degree[r] += 1.0;
   }
-  for (Triplet& t : hat) {
-    double dr = degree[t.row];
-    double dc = degree[t.col];
-    // degree >= 1 always because of the added self-loop.
-    t.value /= std::sqrt(dr) * std::sqrt(dc);
-  }
-  return FromTriplets(n, n, std::move(hat));
+  // degree >= 1 always because of the added self-loop.
+  return MapPlusIdentity([&degree](size_t r, size_t c, double v) {
+    return v / (std::sqrt(degree[r]) * std::sqrt(degree[c]));
+  });
 }
 
 double SparseMatrix::At(size_t r, size_t c) const {
@@ -161,26 +264,13 @@ SparseMatrix::EnsureTransposeView() const {
   const std::shared_ptr<TransposeCache> cache = tcache_;
   std::lock_guard<std::mutex> lock(cache->mu);
   if (cache->view != nullptr) return cache->view;
-  // Counting sort into transposed-CSR. Walking the CSR rows in ascending
-  // order lands every view row's entries in ascending original-row order —
-  // exactly the order the serial scatter kernel sums them in.
+  // Counting sort into transposed-CSR: every view row's entries land in
+  // ascending original-row order — exactly the order the serial scatter
+  // kernel sums them in.
   auto view = std::make_shared<TransposeView>();
-  view->row_offsets.assign(cols_ + 1, 0);
-  for (size_t c : col_indices_) ++view->row_offsets[c + 1];
-  for (size_t i = 1; i <= cols_; ++i) {
-    view->row_offsets[i] += view->row_offsets[i - 1];
-  }
-  view->col_indices.resize(nnz());
-  view->values.resize(nnz());
-  std::vector<size_t> cursor(view->row_offsets.begin(),
-                             view->row_offsets.end() - 1);
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      const size_t pos = cursor[col_indices_[k]]++;
-      view->col_indices[pos] = r;
-      view->values[pos] = values_[k];
-    }
-  }
+  TransposeCsr(rows_, cols_, row_offsets_, col_indices_, values_,
+               /*drop_zeros=*/false, &view->row_offsets, &view->col_indices,
+               &view->values);
   cache->view = std::move(view);
   return cache->view;
 }
@@ -274,39 +364,54 @@ tensor::Matrix SparseMatrix::TransposeMultiplyDenseScatter(
 
 SparseMatrix SparseMatrix::Multiply(const SparseMatrix& other) const {
   ADAMGNN_CHECK_EQ(cols_, other.rows_);
-  // Gustavson row-by-row SpGEMM with a dense accumulator over other.cols().
-  std::vector<Triplet> t;
+  // Gustavson row-by-row SpGEMM with a dense accumulator over other.cols(),
+  // written straight into CSR. A bitmap marks each row's touched columns;
+  // walking its set bits in ascending order emits the row already sorted,
+  // so the product needs no sort at all.
+  SparseMatrix m;
+  m.rows_ = rows_;
+  m.cols_ = other.cols_;
+  m.row_offsets_.assign(rows_ + 1, 0);
   std::vector<double> acc(other.cols_, 0.0);
-  std::vector<size_t> touched;
+  std::vector<uint64_t> touched((other.cols_ + 63) / 64, 0);
   for (size_t r = 0; r < rows_; ++r) {
-    touched.clear();
+    size_t lo = other.cols_, hi = 0;
     for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
       const double v = values_[k];
       const size_t mid = col_indices_[k];
       for (size_t k2 = other.row_offsets_[mid];
            k2 < other.row_offsets_[mid + 1]; ++k2) {
         const size_t c = other.col_indices_[k2];
-        if (acc[c] == 0.0) touched.push_back(c);
+        touched[c / 64] |= uint64_t{1} << (c % 64);
         acc[c] += v * other.values_[k2];
+        lo = std::min(lo, c);
+        hi = std::max(hi, c);
       }
     }
-    for (size_t c : touched) {
-      if (acc[c] != 0.0) t.push_back({r, c, acc[c]});
-      acc[c] = 0.0;
+    for (size_t w = lo / 64; lo <= hi && w <= hi / 64; ++w) {
+      for (uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
+        const size_t c = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        if (acc[c] != 0.0) {
+          m.col_indices_.push_back(c);
+          m.values_.push_back(acc[c]);
+        }
+        acc[c] = 0.0;
+      }
+      touched[w] = 0;
     }
+    m.row_offsets_[r + 1] = m.col_indices_.size();
   }
-  return FromTriplets(rows_, other.cols_, std::move(t));
+  return m;
 }
 
 SparseMatrix SparseMatrix::Transposed() const {
-  std::vector<Triplet> t;
-  t.reserve(nnz());
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
-      t.push_back({col_indices_[k], r, values_[k]});
-    }
-  }
-  return FromTriplets(cols_, rows_, std::move(t));
+  SparseMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  TransposeCsr(rows_, cols_, row_offsets_, col_indices_, values_,
+               /*drop_zeros=*/true, &t.row_offsets_, &t.col_indices_,
+               &t.values_);
+  return t;
 }
 
 SparseMatrix SparseMatrix::RowNormalized() const {

@@ -55,6 +55,15 @@ class SparseMatrix {
   static SparseMatrix FromTriplets(size_t rows, size_t cols,
                                    std::vector<Triplet> triplets);
 
+  /// Builds from coordinate lists whose (row, col) pairs are all distinct
+  /// (two nonzeros at one position abort), by two counting sorts — no
+  /// comparison sort. Exact zeros are dropped. Bitwise-equal to FromTriplets
+  /// on such input.
+  static SparseMatrix FromCoordinates(size_t rows, size_t cols,
+                                      const std::vector<size_t>& row_indices,
+                                      const std::vector<size_t>& col_indices,
+                                      const std::vector<double>& values);
+
   /// Identity of size n.
   static SparseMatrix Identity(size_t n);
 
@@ -68,6 +77,11 @@ class SparseMatrix {
   /// Symmetric GCN normalization of *this* matrix (adds identity, then
   /// normalizes by row sums). Requires square shape and non-negative values.
   SparseMatrix Normalized() const;
+
+  /// this + I for a square matrix: 1.0 folds into an existing diagonal entry
+  /// or is inserted in column order; an entry that folds to exactly 0 is
+  /// dropped.
+  SparseMatrix PlusIdentity() const;
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -104,8 +118,11 @@ class SparseMatrix {
   /// True once the transposed view exists (for tests and diagnostics).
   bool transpose_view_built() const;
 
-  /// Sparse-sparse product this * other.
+  /// Sparse-sparse product this * other: Gustavson row by row into CSR,
+  /// each output entry folded over the inner index in ascending order from
+  /// +0.0; results that are exactly 0 are dropped.
   SparseMatrix Multiply(const SparseMatrix& other) const;
+  /// Counting-sort transpose; exact zeros are dropped.
   SparseMatrix Transposed() const;
 
   /// Scales each row to sum to 1 (rows with zero sum are left untouched).
@@ -135,6 +152,12 @@ class SparseMatrix {
   };
 
   std::shared_ptr<const TransposeView> EnsureTransposeView() const;
+
+  /// this + I, built straight into CSR, with each entry (r, c, v) mapped
+  /// through value(r, c, v); results that are exactly 0 are dropped.
+  template <typename Value>
+  SparseMatrix MapPlusIdentity(Value&& value) const;
+
   void ResetTransposeCache() { tcache_ = std::make_shared<TransposeCache>(); }
 
   tensor::Matrix TransposeMultiplyDenseGather(const tensor::Matrix& x) const;

@@ -43,9 +43,8 @@ autograd::Variable GatConv::Forward(
       0.2);
 
   // Normalize over each destination's in-neighborhood.
-  std::vector<size_t> dst = edges->dst;
   autograd::Variable att =
-      autograd::SegmentSoftmax(logits, std::move(dst), edges->num_nodes);
+      autograd::SegmentSoftmax(logits, edges->dst, edges->num_nodes);
 
   auto pattern = std::make_shared<autograd::SparsePattern>();
   pattern->rows = edges->num_nodes;

@@ -572,15 +572,16 @@ Matrix SegmentSoftmax(const Matrix& scores, const std::vector<size_t>& segments,
   return out;
 }
 
-Matrix EdgeDots(const Matrix& h,
-                const std::vector<std::pair<size_t, size_t>>& pairs) {
+Matrix EdgeDots(const Matrix& h, const std::vector<size_t>& u,
+                const std::vector<size_t>& v) {
+  ADAMGNN_CHECK_EQ(u.size(), v.size());
   const size_t d = h.cols();
-  Matrix out(pairs.size(), 1);
-  for (size_t e = 0; e < pairs.size(); ++e) {
-    ADAMGNN_CHECK_LT(pairs[e].first, h.rows());
-    ADAMGNN_CHECK_LT(pairs[e].second, h.rows());
-    const double* hu = h.row(pairs[e].first);
-    const double* hv = h.row(pairs[e].second);
+  Matrix out(u.size(), 1);
+  for (size_t e = 0; e < u.size(); ++e) {
+    ADAMGNN_CHECK_LT(u[e], h.rows());
+    ADAMGNN_CHECK_LT(v[e], h.rows());
+    const double* hu = h.row(u[e]);
+    const double* hv = h.row(v[e]);
     double s = 0.0;
     for (size_t j = 0; j < d; ++j) s += hu[j] * hv[j];
     out(e, 0) = s;

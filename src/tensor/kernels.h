@@ -107,10 +107,10 @@ Matrix SegmentMax(const Matrix& a, const std::vector<size_t>& segments,
 Matrix SegmentSoftmax(const Matrix& scores, const std::vector<size_t>& segments,
                       size_t num_segments);
 
-/// Pairwise row dot products: out(e, 0) = h.row(pairs[e].first) ·
-/// h.row(pairs[e].second). Both endpoints must be < h.rows().
-Matrix EdgeDots(const Matrix& h,
-                const std::vector<std::pair<size_t, size_t>>& pairs);
+/// Pairwise row dot products: out(e, 0) = h.row(u[e]) · h.row(v[e]).
+/// Both endpoints must be < h.rows().
+Matrix EdgeDots(const Matrix& h, const std::vector<size_t>& u,
+                const std::vector<size_t>& v);
 
 }  // namespace adamgnn::tensor
 

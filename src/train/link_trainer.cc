@@ -67,11 +67,15 @@ util::Result<LinkTaskResult> TrainLinkPredictor(EmbeddingModel* model,
   nn::TrainingState& st = resilience.state();
 
   // Training targets: positives then negatives.
-  std::vector<std::pair<size_t, size_t>> train_pairs = split.train_pos;
-  train_pairs.insert(train_pairs.end(), split.train_neg.begin(),
-                     split.train_neg.end());
+  std::vector<size_t> train_src, train_dst;
+  for (const auto* edges : {&split.train_pos, &split.train_neg}) {
+    for (const auto& [u, v] : *edges) {
+      train_src.push_back(u);
+      train_dst.push_back(v);
+    }
+  }
   std::vector<double> targets(split.train_pos.size(), 1.0);
-  targets.resize(train_pairs.size(), 0.0);
+  targets.resize(train_src.size(), 0.0);
 
   LinkTaskResult result;
   result.epochs_run = start_epoch;
@@ -85,7 +89,7 @@ util::Result<LinkTaskResult> TrainLinkPredictor(EmbeddingModel* model,
     EmbeddingModel::Out out =
         model->Forward(split.train_graph, /*training=*/true, &rng);
     autograd::Variable logits =
-        autograd::EdgeDotProduct(out.embeddings, train_pairs);
+        autograd::EdgeDotProduct(out.embeddings, train_src, train_dst);
     autograd::Variable loss =
         autograd::BinaryCrossEntropyWithLogits(logits, targets);
     if (out.aux_loss.defined()) loss = autograd::Add(loss, out.aux_loss);

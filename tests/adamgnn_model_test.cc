@@ -1,5 +1,8 @@
 #include "core/adamgnn_model.h"
 
+#include <string>
+#include <vector>
+
 #include "autograd/loss_ops.h"
 #include "autograd/ops.h"
 #include "core/adapters.h"
@@ -8,6 +11,7 @@
 #include "graph/batch.h"
 #include "gtest/gtest.h"
 #include "nn/optimizer.h"
+#include "obs/trace.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -99,6 +103,48 @@ TEST(AdamGnnTest, LevelsCompressMonotonically) {
   for (size_t k = 1; k < out.levels.size(); ++k) {
     EXPECT_EQ(out.levels[k].num_prev_nodes,
               out.levels[k - 1].num_hyper_nodes);
+  }
+}
+
+TEST(AdamGnnTest, StageSpansNoteEveryLevel) {
+  if (obs::TraceBuffer::kDefaultCapacity == 0 || !obs::Enabled()) {
+    GTEST_SKIP() << "observability is compiled out or switched off";
+  }
+  graph::Graph g = Ring(40, 6, 7);
+  util::Rng rng(6);
+  AdamGnnConfig c = SmallConfig(6, 2);
+  c.num_levels = 4;
+  AdamGnn model(c, &rng);
+  obs::TraceBuffer::Global().Reset();
+  util::Rng frng(7);
+  AdamGnn::Output out = model.Forward(g, false, &frng);
+  ASSERT_GE(out.levels.size(), 2u);
+  auto attr = [](const obs::TraceEvent& e, const std::string& key) {
+    for (uint32_t i = 0; i < e.num_attrs; ++i) {
+      if (key == e.attrs[i].key) return e.attrs[i].value;
+    }
+    ADD_FAILURE() << e.name << " has no " << key;
+    return -1.0;
+  };
+  std::vector<obs::TraceEvent> fitness, coarsen;
+  for (const obs::TraceEvent& e : obs::TraceBuffer::Global().Snapshot()) {
+    if (std::string(e.name) == "stage.fitness") fitness.push_back(e);
+    if (std::string(e.name) == "stage.coarsen") coarsen.push_back(e);
+  }
+  // Every built level is scored and coarsened; the cascade may also score
+  // one more level and then stop because it would not compress.
+  ASSERT_EQ(coarsen.size(), out.levels.size());
+  ASSERT_GE(fitness.size(), coarsen.size());
+  for (size_t k = 0; k < coarsen.size(); ++k) {
+    const LevelInfo& info = out.levels[k];
+    EXPECT_EQ(attr(fitness[k], "level"), static_cast<double>(k));
+    EXPECT_EQ(attr(coarsen[k], "level"), static_cast<double>(k));
+    EXPECT_GT(attr(fitness[k], "pairs"), 0.0);
+    EXPECT_EQ(attr(coarsen[k], "pairs"), attr(fitness[k], "pairs"));
+    EXPECT_GT(attr(fitness[k], "nnz"), 0.0);
+    EXPECT_GT(attr(coarsen[k], "nnz"), 0.0);
+    EXPECT_LE(attr(coarsen[k], "nnz"),
+              static_cast<double>(info.num_hyper_nodes * info.num_hyper_nodes));
   }
 }
 

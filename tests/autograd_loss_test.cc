@@ -91,7 +91,7 @@ TEST(MseTest, GradientMatchesFiniteDifference) {
 
 TEST(EdgeDotProductTest, ForwardValues) {
   Matrix h(3, 2, std::vector<double>{1, 0, 0, 2, 3, 1});
-  Variable logits = EdgeDotProduct(Variable::Constant(h), {{0, 1}, {1, 2}});
+  Variable logits = EdgeDotProduct(Variable::Constant(h), {0, 1}, {1, 2});
   EXPECT_DOUBLE_EQ(logits.value()(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(logits.value()(1, 0), 2.0);
 }
@@ -99,12 +99,11 @@ TEST(EdgeDotProductTest, ForwardValues) {
 TEST(EdgeDotProductTest, GradientMatchesFiniteDifference) {
   util::Rng rng(6);
   Variable h = Variable::Parameter(Matrix::Gaussian(4, 3, 1.0, &rng));
-  std::vector<std::pair<size_t, size_t>> pairs = {{0, 1}, {2, 3}, {0, 3},
-                                                  {1, 1}};
+  const std::vector<size_t> u = {0, 2, 0, 1}, v = {1, 3, 3, 1};
   ExpectGradientsMatch(h, [&] {
     util::Rng wrng(7);
     Matrix w = Matrix::Gaussian(4, 1, 1.0, &wrng);
-    return Sum(CwiseMul(EdgeDotProduct(h, pairs), Variable::Constant(w)));
+    return Sum(CwiseMul(EdgeDotProduct(h, u, v), Variable::Constant(w)));
   });
 }
 

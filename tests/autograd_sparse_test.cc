@@ -77,7 +77,9 @@ TEST(SpMMValuesTest, ForwardMatchesMaterialized) {
   Matrix x = Matrix::Gaussian(4, 3, 1.0, &rng);
   Variable y = SpMMValues(pattern, Variable::Constant(vals),
                           Variable::Constant(x));
-  SparseMatrix s = pattern->WithValues(
+  SparseMatrix s = SparseMatrix::FromCoordinates(
+      pattern->rows, pattern->cols, pattern->row_indices,
+      pattern->col_indices,
       std::vector<double>(vals.data(), vals.data() + vals.size()));
   EXPECT_TRUE(tensor::AllClose(y.value(), s.MultiplyDense(x), 1e-12));
 }
@@ -121,15 +123,6 @@ TEST(SpMMValuesTest, DuplicateCoordinatesAccumulate) {
   Variable x = Variable::Constant(Matrix::Identity(2));
   Variable y = SpMMValues(p, vals, x);
   EXPECT_DOUBLE_EQ(y.value()(0, 1), 5.0);
-}
-
-TEST(SparsePatternTest, WithValuesRoundTrip) {
-  auto pattern = SmallPattern();
-  SparseMatrix s = pattern->WithValues({1, 2, 3, 4});
-  EXPECT_DOUBLE_EQ(s.At(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(s.At(1, 0), 2.0);
-  EXPECT_DOUBLE_EQ(s.At(1, 3), 3.0);
-  EXPECT_DOUBLE_EQ(s.At(2, 2), 4.0);
 }
 
 TEST(SpMMTest, ChainedUnpoolingGradient) {

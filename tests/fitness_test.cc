@@ -1,8 +1,14 @@
 #include "core/fitness.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
 
+#include "autograd/loss_ops.h"
 #include "autograd/ops.h"
+#include "autograd/segment_ops.h"
+#include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -145,6 +151,134 @@ TEST(FitnessScorerTest, SimilarNodesScoreHigher) {
     }
   }
   EXPECT_GT(phi_same, phi_diff);
+}
+
+
+// ---------------------------------------------------------------------------
+// The factorized Eq. 2 logit against the concat formulation it replaces.
+// ---------------------------------------------------------------------------
+
+/// Eq. 2 the way it reads in the paper: gather W h_j and W h_i per pair,
+/// concatenate, project with a, then the same softmax / sigmoid / mean.
+FitnessScorer::Scores ConcatScore(const EgoPairs& pairs, const Variable& h,
+                                  const Variable& weight,
+                                  const Variable& attention, FitnessMode mode) {
+  Variable wh = autograd::MatMul(h, weight);
+  Variable logits = autograd::LeakyRelu(
+      autograd::MatMul(
+          autograd::ConcatCols(autograd::GatherRows(wh, pairs.member),
+                               autograd::GatherRows(wh, pairs.ego)),
+          attention),
+      0.2);
+  Variable f_s = autograd::SegmentSoftmax(logits, pairs.ego, pairs.num_nodes);
+  Variable f_c = autograd::Sigmoid(
+      autograd::EdgeDotProduct(h, pairs.member, pairs.ego));
+  FitnessScorer::Scores scores;
+  scores.pair_phi = mode == FitnessMode::kBoth ? autograd::CwiseMul(f_s, f_c)
+                    : mode == FitnessMode::kAttentionOnly ? f_s
+                                                          : f_c;
+  scores.ego_phi =
+      autograd::SegmentMean(scores.pair_phi, pairs.ego, pairs.num_nodes);
+  return scores;
+}
+
+/// |a - b| <= rel * max(|a|, |b|) entrywise.
+void ExpectRelClose(const Matrix& a, const Matrix& b, double rel) {
+  ASSERT_TRUE(a.SameShape(b));
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double x = a.data()[i], y = b.data()[i];
+    EXPECT_LE(std::fabs(x - y), rel * std::max(std::fabs(x), std::fabs(y)))
+        << "entry " << i << ": " << x << " vs " << y;
+  }
+}
+
+const FitnessMode kAllModes[] = {FitnessMode::kBoth,
+                                 FitnessMode::kAttentionOnly,
+                                 FitnessMode::kSigmoidOnly};
+
+TEST(FitnessFactorizationTest, MatchesConcatFormulationInEveryMode) {
+  util::Rng grng(21);
+  graph::Graph g = graph::ErdosRenyi(80, 0.06, &grng).ValueOrDie();
+  for (int lambda : {1, 2}) {
+    EgoPairs pairs = EgoPairs::Build(AdjacencyLists(g), lambda);
+    ASSERT_GT(pairs.num_pairs(), 0u);
+    for (FitnessMode mode : kAllModes) {
+      util::Rng rng(22);
+      FitnessScorer scorer(16, &rng, mode);
+      util::Rng hrng(23);
+      Variable h = Variable::Constant(Matrix::Gaussian(80, 16, 1.0, &hrng));
+      const std::vector<Variable> params = scorer.Parameters();
+      FitnessScorer::Scores got = scorer.Score(pairs, h);
+      FitnessScorer::Scores want =
+          ConcatScore(pairs, h, params[0], params[1], mode);
+      ExpectRelClose(got.pair_phi.value(), want.pair_phi.value(), 1e-12);
+      ExpectRelClose(got.ego_phi.value(), want.ego_phi.value(), 1e-12);
+    }
+  }
+}
+
+TEST(FitnessFactorizationTest, GradientsMatchFiniteDifferencesInEveryMode) {
+  graph::Graph g = TwoTriangles();
+  EgoPairs pairs = EgoPairs::Build(AdjacencyLists(g), 2);
+  for (FitnessMode mode : kAllModes) {
+    util::Rng rng(24);
+    FitnessScorer scorer(4, &rng, mode);
+    Variable h = Variable::Parameter(g.features());
+    auto loss = [&] {
+      FitnessScorer::Scores s = scorer.Score(pairs, h);
+      util::Rng wrng(25);
+      Matrix w = Matrix::Gaussian(s.pair_phi.rows(), 1, 1.0, &wrng);
+      Matrix v = Matrix::Gaussian(s.ego_phi.rows(), 1, 1.0, &wrng);
+      return autograd::Add(
+          autograd::Sum(autograd::CwiseMul(s.pair_phi, Variable::Constant(w))),
+          autograd::Sum(autograd::CwiseMul(s.ego_phi, Variable::Constant(v))));
+    };
+    const std::vector<Variable> params = scorer.Parameters();
+    ExpectGradientsMatch(params[0], loss, 1e-5, 5e-6);  // weight
+    ExpectGradientsMatch(params[1], loss, 1e-5, 5e-6);  // attention
+    ExpectGradientsMatch(h, loss, 1e-5, 5e-6);
+  }
+}
+
+TEST(PairLogitsTest, ValuesAndGradients) {
+  util::Rng rng(26);
+  Variable s = Variable::Parameter(Matrix::Gaussian(5, 2, 1.0, &rng));
+  Variable scale = Variable::Parameter(Matrix::Gaussian(7, 1, 1.0, &rng));
+  const std::vector<size_t> member = {0, 1, 1, 4, 2, 0, 3};
+  const std::vector<size_t> ego = {1, 0, 2, 2, 4, 3, 3};
+  Variable plain = autograd::PairLogits(s, member, ego);
+  Variable scaled = autograd::PairLogits(s, member, ego, scale);
+  for (size_t p = 0; p < member.size(); ++p) {
+    EXPECT_EQ(plain.value()(p, 0),
+              s.value()(member[p], 0) + s.value()(ego[p], 1));
+    EXPECT_EQ(scaled.value()(p, 0),
+              scale.value()(p, 0) * s.value()(member[p], 0) +
+                  s.value()(ego[p], 1));
+  }
+  auto loss = [&] {
+    util::Rng wrng(27);
+    Matrix w = Matrix::Gaussian(member.size(), 1, 1.0, &wrng);
+    return autograd::Add(
+        autograd::Sum(autograd::CwiseMul(
+            autograd::PairLogits(s, member, ego), Variable::Constant(w))),
+        autograd::Sum(autograd::Tanh(
+            autograd::PairLogits(s, member, ego, scale))));
+  };
+  ExpectGradientsMatch(s, loss, 1e-6, 1e-8);
+  ExpectGradientsMatch(scale, loss, 1e-6, 1e-8);
+}
+
+TEST(PairLogitsTest, EvalForwardMatchesRecordedForward) {
+  util::Rng rng(28);
+  Variable s = Variable::Parameter(Matrix::Gaussian(6, 2, 1.0, &rng));
+  Variable scale = Variable::Parameter(Matrix::Gaussian(4, 1, 1.0, &rng));
+  const std::vector<size_t> member = {5, 0, 3, 3};
+  const std::vector<size_t> ego = {0, 5, 1, 2};
+  const Matrix recorded = autograd::PairLogits(s, member, ego, scale).value();
+  autograd::NoGradGuard no_grad;
+  Variable eval = autograd::PairLogits(s, member, ego, scale);
+  EXPECT_TRUE(eval.value() == recorded);
+  EXPECT_FALSE(eval.requires_grad());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Runtime ISA dispatcher tests: parse/probe/force semantics, the cross-ISA
 // numeric contract (sparse kernels bitwise everywhere, GEMM bitwise
 // scalar≡sse2 and ULP-bounded on avx2), bitwise thread-invariance at every
-// forced ISA, adaptive-selector pins, and a forced-ISA training smoke whose
+// forced ISA (kernels, the pair-logit op, the coarsening product),
+// adaptive-selector pins, and a forced-ISA training smoke whose
 // loss trajectory is compared against the scalar baseline.
 
 #include "tensor/isa.h"
@@ -9,8 +10,11 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "autograd/ops.h"
+#include "autograd/segment_ops.h"
 #include "core/adapters.h"
 #include "data/node_datasets.h"
 #include "data/splits.h"
@@ -223,6 +227,62 @@ TEST(IsaThreadingTest, KernelsBitwiseAcrossThreadCountsAtEveryIsa) {
           << "SpMM^T @ " << IsaName(isa) << " threads=" << t;
     }
     util::SetNumThreads(0);
+  }
+}
+
+TEST(IsaThreadingTest, PairLogitsAndCoarseningBitwiseAcrossThreadsAndIsas) {
+  IsaGuard guard;
+  util::Rng rng(66);
+  const size_t n = 3000, pairs = 60000;
+  const Matrix s_value = Matrix::Gaussian(n, 2, 1.0, &rng);
+  const Matrix scale_value = Matrix::Gaussian(pairs, 1, 1.0, &rng);
+  const Matrix w = Matrix::Gaussian(pairs, 1, 1.0, &rng);
+  std::vector<size_t> member(pairs), ego(pairs);
+  for (size_t p = 0; p < pairs; ++p) {
+    member[p] = rng.NextUint64(n);
+    ego[p] = rng.NextUint64(n);
+  }
+  const SparseMatrix a = RandomSparse(n, n, 40000, 67);
+  const SparseMatrix s = RandomSparse(n, 400, 6000, 68);
+
+  struct Result {
+    Matrix plain, scaled, ds, dscale;
+    SparseMatrix coarse, normalized;
+  };
+  auto run = [&] {
+    autograd::Variable sv = autograd::Variable::Parameter(s_value);
+    autograd::Variable scale = autograd::Variable::Parameter(scale_value);
+    autograd::Variable plain = autograd::PairLogits(sv, member, ego);
+    autograd::Variable scaled = autograd::PairLogits(sv, member, ego, scale);
+    autograd::Backward(autograd::Sum(autograd::CwiseMul(
+        autograd::Add(plain, scaled), autograd::Variable::Constant(w))));
+    Result r{plain.value(), scaled.value(), sv.grad(), scale.grad(), {}, {}};
+    r.coarse = s.Transposed().Multiply(a.PlusIdentity()).Multiply(s);
+    r.normalized = r.coarse.Normalized();
+    return r;
+  };
+  auto same_csr = [](const SparseMatrix& x, const SparseMatrix& y) {
+    return x.row_offsets() == y.row_offsets() &&
+           x.col_indices() == y.col_indices() && x.values() == y.values();
+  };
+  ASSERT_TRUE(SetIsa(Isa::kScalar));
+  util::SetNumThreads(1);
+  const Result ref = run();
+  for (Isa isa : SupportedIsas()) {
+    ASSERT_TRUE(SetIsa(isa));
+    for (int t : {1, 2, 4, 7}) {
+      util::SetNumThreads(t);
+      const Result got = run();
+      const std::string where =
+          std::string(IsaName(isa)) + " threads=" + std::to_string(t);
+      EXPECT_TRUE(got.plain == ref.plain) << "PairLogits @ " << where;
+      EXPECT_TRUE(got.scaled == ref.scaled) << "scaled PairLogits @ " << where;
+      EXPECT_TRUE(got.ds == ref.ds) << "PairLogits ds @ " << where;
+      EXPECT_TRUE(got.dscale == ref.dscale) << "PairLogits dscale @ " << where;
+      EXPECT_TRUE(same_csr(got.coarse, ref.coarse)) << "SᵀÂS @ " << where;
+      EXPECT_TRUE(same_csr(got.normalized, ref.normalized))
+          << "Normalized @ " << where;
+    }
   }
 }
 

@@ -30,6 +30,14 @@ TEST(SparseMatrixTest, FromTripletsCoalescesDuplicates) {
   EXPECT_DOUBLE_EQ(m.At(1, 1), 0.0);
 }
 
+TEST(SparseMatrixTest, FromCoordinatesSortsAndDropsZeros) {
+  SparseMatrix m = SparseMatrix::FromCoordinates(
+      3, 4, {2, 0, 1, 1, 0}, {2, 1, 3, 0, 3}, {4.0, 1.0, 3.0, 2.0, 0.0});
+  EXPECT_EQ(m.row_offsets(), (std::vector<size_t>{0, 1, 3, 4}));
+  EXPECT_EQ(m.col_indices(), (std::vector<size_t>{1, 0, 3, 2}));
+  EXPECT_EQ(m.values(), (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
+}
+
 TEST(SparseMatrixTest, AtReadsStructuralZeros) {
   SparseMatrix m = Small();
   EXPECT_DOUBLE_EQ(m.At(0, 1), 2.0);

@@ -30,11 +30,12 @@ ADAMGNN_ISA=scalar ctest --test-dir build --output-on-failure -j "${JOBS}"
 echo "==> UBSan build + kernel-suite ctest"
 # UndefinedBehaviorSanitizer over the suites that drive the per-ISA SIMD
 # variants (alignment, pointer arithmetic in the packed GEMM panels, lane
-# tails) plus the containers they lean on.
+# tails) plus the containers they lean on, and the suites that drive the
+# pair-logit op and the direct-CSR coarsening builders.
 cmake -B build-ubsan -S . -DADAMGNN_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "${JOBS}"
 ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
-    -R 'isa|kernels|sparse_matrix|autograd_sparse|matrix|workspace|thread_pool'
+    -R 'isa|kernels|sparse_matrix|autograd_sparse|matrix|workspace|thread_pool|fitness|assignment|autograd_loss|autograd_segment|dense_oracle'
 
 echo "==> bench smoke (small shapes; exercises the sparse engine A/B paths)"
 # Both benches run their comparison passes at toy sizes: the epoch bench

@@ -11,12 +11,12 @@
 //     bounds.size() + 1, sum(counts) == count
 //   - span lines: name + timing fields + attrs object
 // and then applies mode-specific liveness checks: `train` requires the
-// trainer's epoch/phase metrics and pool/workspace stats to be present and
-// non-trivial, `infer` requires request-latency and plan-cache metrics,
-// `serve` requires the serve-loop lifecycle/reload/watchdog families with a
-// balanced reload ledger, `off` requires a compiled:false meta line and
-// nothing else. Exits 0 on success, 1 with a diagnostic on the first
-// violation.
+// trainer's epoch/phase metrics, pool/workspace stats and the per-level
+// stage.fitness/stage.coarsen spans to be present and non-trivial, `infer`
+// requires request-latency and plan-cache metrics, `serve` requires the
+// serve-loop lifecycle/reload/watchdog families with a balanced reload
+// ledger, `off` requires a compiled:false meta line and nothing else. Exits
+// 0 on success, 1 with a diagnostic on the first violation.
 //
 // The parser is a deliberately small recursive-descent JSON subset reader
 // (objects, arrays, strings, numbers, booleans, null) — enough for our own
@@ -427,6 +427,22 @@ int CheckTrainMode(const ParsedFile& file) {
     std::fprintf(stderr,
                  "check_metrics: train.epoch span lacks epoch/loss attrs\n");
     rc = 1;
+  }
+  // The AdamGNN cascade's per-level stage spans.
+  for (const char* stage : {"stage.fitness", "stage.coarsen"}) {
+    const auto it = file.span_attrs.find(stage);
+    if (it == file.span_attrs.end()) {
+      std::fprintf(stderr, "check_metrics: no %s span recorded\n", stage);
+      rc = 1;
+      continue;
+    }
+    for (const char* key : {"level", "pairs", "nnz"}) {
+      if (it->second.count(key) == 0) {
+        std::fprintf(stderr, "check_metrics: %s span lacks %s attr\n", stage,
+                     key);
+        rc = 1;
+      }
+    }
   }
   return rc;
 }

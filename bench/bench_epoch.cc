@@ -1,24 +1,22 @@
-// End-to-end proof for the sparse training-path engine: trains the AdamGNN
-// node classifier twice on the same synthetic workload — once with the
-// legacy configuration (scatter SpMMᵀ, no workspace arena) and once with the
-// engine configuration (cached-transpose gather SpMMᵀ + workspace arena) —
-// and writes per-epoch wall times to BENCH_epoch.json.
+// End-to-end training-epoch bench: trains the AdamGNN node classifier on a
+// synthetic hierarchical-SBM workload in interleaved rounds with the
+// observability layer on and off, and writes per-epoch wall times to
+// BENCH_epoch.json.
 //
-// The acceptance gate is determinism-shaped: every engine-configuration
-// round — metrics on, metrics off, and an extra round at an alternate
-// thread count — must produce a bitwise-identical per-epoch loss
-// trajectory, and the legacy rounds must be bitwise-identical among
-// themselves. Legacy vs engine is compared to tolerance (the legacy
-// scatter's partial-sum merge order differs from the engine's plain
-// ascending fold at multi-chunk shapes); the max relative loss difference
-// is reported and gated. The binary exits nonzero on any violation.
+// The acceptance gates: every round — metrics on, metrics off, and an extra
+// round at an alternate thread count — must produce a bitwise-identical
+// per-epoch loss trajectory, and on full-size runs the metrics layer must
+// cost < 2% per warm epoch. The binary exits nonzero on any violation.
 //
 // Measurement protocol: the two configurations alternate for --repeats
-// rounds (L E L E ...), and each epoch's cost is the minimum across that
-// configuration's rounds. Because the loss trajectories are bitwise
+// rounds (on off on off ...), and each epoch's cost is the minimum across
+// that configuration's rounds. Because the loss trajectories are bitwise
 // identical, epoch i performs exactly the same work in every round, so the
 // min is an unbiased estimate of its true cost that filters scheduler noise
 // on shared machines — single interleaved runs were observed to swing ±30%.
+// The JSON also records each round pair's own warm-epoch overhead and its
+// spread (min, quartiles, max), so a reader can see whether the gate value
+// stands clear of run-to-run noise.
 //
 // Flags:
 //   --json=PATH   output path (default BENCH_epoch.json)
@@ -27,17 +25,19 @@
 //   --epochs=N    epochs per run (default 6)
 //   --degree=N    average node degree of the SBM graph (default 16)
 //   --hidden=N    model hidden width (default 64)
-//   --repeats=N   interleaved rounds per configuration (default 3)
+//   --repeats=N   interleaved rounds per configuration (default 5)
 //   --threads=N   kernel pool size (default 4; see EpochBenchConfig)
 //   --isa=NAME    force the kernel ISA (scalar|sse2|avx2); exits 1 if the
 //                 CPU cannot run it. Default: ADAMGNN_ISA env or the best
 //                 supported.
+// Every integer flag must be a whole number >= 1; anything else exits 1
+// before the workload is built.
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,12 +47,11 @@
 #include "data/sbm.h"
 #include "data/splits.h"
 #include "graph/builder.h"
-#include "graph/sparse_matrix.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "tensor/workspace.h"
 #include "train/node_trainer.h"
 #include "util/random.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace adamgnn {
@@ -62,7 +61,7 @@ struct EpochBenchConfig {
   size_t nodes = 20000;
   size_t feature_dim = 64;
   // At degree 16 the level-2 pooled graph densifies and the ego-pair
-  // tensors turn the epoch memory-bound — the regime the engine's arena,
+  // tensors turn the epoch memory-bound — the regime the workspace arena,
   // uninitialized acquires, and partial-free gathers target. Degree 8
   // keeps every level sparse and is the gentler configuration.
   size_t avg_degree = 16;
@@ -70,21 +69,17 @@ struct EpochBenchConfig {
   int epochs = 6;
   size_t hidden_dim = 64;
   int levels = 2;
-  int repeats = 3;
+  int repeats = 5;
   // Kernel pool size. Defaults to 4 rather than the machine's hardware
-  // concurrency so the comparison is reproducible across boxes: the legacy
-  // scatter kernels allocate, zero, and merge one partial output per chunk,
-  // and that overhead only appears once the pool actually splits work. On a
-  // machine with fewer hardware threads the workers timeslice — the partials
-  // are still real extra work, the gather engine still skips it. The JSON
-  // records hardware_concurrency and the effective pool size side by side.
+  // concurrency so runs are comparable across boxes; the JSON records
+  // hardware_concurrency and the effective pool size side by side.
   int threads = 4;
   uint64_t seed = 1;
 };
 
 // A hierarchical-SBM node-classification workload large enough that the
 // per-epoch sparse products clear the kernels' parallel-work gate
-// (nnz * cols >= 2^20) — the regime the engine targets. Features are
+// (nnz * cols >= 2^20), so the row-parallel gather strategies run. Features are
 // structural (degree profiles), built in two stages like the featureless
 // synthetic datasets in data/node_datasets.cc.
 graph::Graph BuildWorkload(const EpochBenchConfig& cfg) {
@@ -120,53 +115,54 @@ struct RunResult {
   std::vector<double> epoch_seconds;
 };
 
+/// Mean cost of the warm epochs (all but the first), in ms. Epoch 0 pays the
+/// one-time GraphPlan build (ego enumeration, Â and its transposed view);
+/// warm epochs are the steady state.
+double WarmEpochMs(const std::vector<double>& epoch_seconds) {
+  const size_t epochs = epoch_seconds.size();
+  if (epochs < 2) return epochs == 1 ? epoch_seconds[0] * 1e3 : 0.0;
+  double warm = 0.0;
+  for (size_t i = 1; i < epochs; ++i) warm += epoch_seconds[i];
+  return warm / static_cast<double>(epochs - 1) * 1e3;
+}
+
 /// Per-epoch cost summary for one configuration across its repeated rounds:
 /// epoch i's cost is the min over rounds (the rounds do bitwise-identical
 /// work, so the min strips scheduler noise).
 struct CostSummary {
   std::vector<double> epoch_seconds;
-  double total_seconds = 0.0;
   double first_epoch_ms = 0.0;
-  double warm_epoch_ms = 0.0;  // mean over epochs after the first
+  double warm_epoch_ms = 0.0;
 };
 
 CostSummary Summarize(const std::vector<RunResult>& rounds) {
   CostSummary out;
-  if (rounds.empty()) return out;
-  const size_t epochs = rounds.front().epoch_seconds.size();
-  out.epoch_seconds.assign(epochs, 0.0);
-  for (size_t i = 0; i < epochs; ++i) {
-    double best = rounds.front().epoch_seconds[i];
-    for (const RunResult& r : rounds) {
-      best = std::min(best, r.epoch_seconds[i]);
+  out.epoch_seconds = rounds.front().epoch_seconds;
+  for (const RunResult& r : rounds) {
+    for (size_t i = 0; i < out.epoch_seconds.size(); ++i) {
+      out.epoch_seconds[i] = std::min(out.epoch_seconds[i], r.epoch_seconds[i]);
     }
-    out.epoch_seconds[i] = best;
-    out.total_seconds += best;
   }
-  if (epochs > 0) {
+  if (!out.epoch_seconds.empty()) {
     out.first_epoch_ms = out.epoch_seconds.front() * 1e3;
-    double warm = 0.0;
-    // Epoch 0 pays the one-time GraphPlan build (ego enumeration, Â and its
-    // transposed view); warm epochs are the steady state the engine targets.
-    for (size_t i = 1; i < epochs; ++i) warm += out.epoch_seconds[i];
-    out.warm_epoch_ms =
-        epochs > 1 ? warm / static_cast<double>(epochs - 1) * 1e3
-                   : out.first_epoch_ms;
   }
+  out.warm_epoch_ms = WarmEpochMs(out.epoch_seconds);
   return out;
 }
 
-// One full training run from a fresh, seed-identical model. `engine_on`
-// selects the gather engine + workspace arena; off reproduces main's
-// behavior (scatter kernel, plain allocation). `obs_on` toggles the
-// observability layer's runtime switch for the run (the overhead gate
-// compares engine runs with it on vs. off).
+/// Linear-interpolation quantile of an ascending-sorted, non-empty list.
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo);
+}
+
+// One full training run from a fresh, seed-identical model. `obs_on`
+// toggles the observability layer's runtime switch for the run (the
+// overhead gate compares runs with it on vs. off).
 RunResult RunOnce(const graph::Graph& g, const data::IndexSplit& split,
-                  const EpochBenchConfig& cfg, bool engine_on,
-                  bool obs_on = true) {
-  graph::SetSparseEngine(engine_on ? graph::SparseEngine::kCachedGather
-                                   : graph::SparseEngine::kLegacyScatter);
-  tensor::Workspace::SetEnabled(engine_on);
+                  const EpochBenchConfig& cfg, bool obs_on = true) {
   const bool obs_was_enabled = obs::Enabled();
   obs::SetEnabled(obs_on);
 
@@ -186,9 +182,7 @@ RunResult RunOnce(const graph::Graph& g, const data::IndexSplit& split,
   train::NodeTaskResult r =
       train::TrainNodeClassifier(&model, g, split, tc).ValueOrDie();
 
-  // Restore process defaults so nothing downstream inherits bench state.
-  graph::SetSparseEngine(graph::SparseEngine::kCachedGather);
-  tensor::Workspace::SetEnabled(true);
+  // Restore the process default so nothing downstream inherits bench state.
   obs::SetEnabled(obs_was_enabled);
 
   RunResult out;
@@ -198,35 +192,16 @@ RunResult RunOnce(const graph::Graph& g, const data::IndexSplit& split,
 }
 
 /// True when every round in the given sets produced the same bitwise loss
-/// trajectory as the first one.
+/// trajectory as the first one. The first set must be non-empty.
 bool TrajectoriesIdentical(
     const std::vector<const std::vector<RunResult>*>& round_sets) {
   const std::vector<double>& ref = round_sets.front()->front().losses;
-  auto same = [&ref](const RunResult& r) {
-    if (r.losses.size() != ref.size()) return false;
-    for (size_t i = 0; i < ref.size(); ++i) {
-      if (r.losses[i] != ref[i]) return false;
-    }
-    return true;
-  };
   for (const std::vector<RunResult>* rounds : round_sets) {
     for (const RunResult& r : *rounds) {
-      if (!same(r)) return false;
+      if (r.losses != ref) return false;
     }
   }
   return true;
-}
-
-/// Max relative per-epoch loss difference between two trajectories.
-double MaxRelLossDiff(const std::vector<double>& a,
-                      const std::vector<double>& b) {
-  double worst = 0.0;
-  const size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) {
-    worst = std::max(worst,
-                     std::abs(a[i] - b[i]) / std::max(1.0, std::abs(a[i])));
-  }
-  return a.size() == b.size() ? worst : 1.0;
 }
 
 void PrintEpochArray(std::FILE* f, const char* key,
@@ -250,66 +225,57 @@ int Run(const EpochBenchConfig& cfg, const std::string& json_path,
   data::IndexSplit split =
       data::SplitIndices(g.num_nodes(), 0.8, 0.1, &split_rng).ValueOrDie();
 
-  // Interleave the three configurations so slow machine drift hits all
+  // Interleave the two configurations so slow machine drift hits both
   // equally; per-epoch mins across rounds then strip the remaining spikes.
-  // The obs-off engine rounds isolate the observability layer's overhead —
-  // the metrics/span instrumentation is required to cost < 2% per warm
-  // epoch and to leave the loss trajectory bitwise unchanged.
-  std::vector<RunResult> legacy_rounds, engine_rounds, noobs_rounds;
+  // The obs-off rounds isolate the observability layer's overhead — the
+  // metrics/span instrumentation is required to cost < 2% per warm epoch
+  // and to leave the loss trajectory bitwise unchanged.
+  std::vector<RunResult> obs_rounds, noobs_rounds;
   for (int rep = 0; rep < cfg.repeats; ++rep) {
-    std::printf("round %d/%d: legacy (scatter SpMMT, no workspace), "
-                "%d epochs...\n",
-                rep + 1, cfg.repeats, cfg.epochs);
-    legacy_rounds.push_back(RunOnce(g, split, cfg, /*engine_on=*/false));
-    std::printf("round %d/%d: engine (cached gather SpMMT + workspace), "
-                "%d epochs...\n",
-                rep + 1, cfg.repeats, cfg.epochs);
-    engine_rounds.push_back(RunOnce(g, split, cfg, /*engine_on=*/true));
-    std::printf("round %d/%d: engine with metrics disabled, %d epochs...\n",
-                rep + 1, cfg.repeats, cfg.epochs);
-    noobs_rounds.push_back(
-        RunOnce(g, split, cfg, /*engine_on=*/true, /*obs_on=*/false));
+    std::printf("round %d/%d: metrics enabled, %d epochs...\n", rep + 1,
+                cfg.repeats, cfg.epochs);
+    obs_rounds.push_back(RunOnce(g, split, cfg));
+    std::printf("round %d/%d: metrics disabled, %d epochs...\n", rep + 1,
+                cfg.repeats, cfg.epochs);
+    noobs_rounds.push_back(RunOnce(g, split, cfg, /*obs_on=*/false));
   }
-  // One extra engine round at an alternate pool size: the adaptive strategy
+  // One extra round at an alternate pool size: the adaptive strategy
   // selector consults the pool, so this is the round that proves selection
   // changes speed, never bits.
   const int alt_threads = cfg.threads == 2 ? 3 : 2;
-  std::printf("extra round: engine at %d threads (bitwise check)...\n",
-              alt_threads);
+  std::printf("extra round: %d threads (bitwise check)...\n", alt_threads);
   util::SetNumThreads(alt_threads);
   std::vector<RunResult> alt_rounds;
-  alt_rounds.push_back(RunOnce(g, split, cfg, /*engine_on=*/true));
+  alt_rounds.push_back(RunOnce(g, split, cfg));
   util::SetNumThreads(cfg.threads);
 
-  const CostSummary legacy = Summarize(legacy_rounds);
-  const CostSummary engine = Summarize(engine_rounds);
-  const CostSummary noobs = Summarize(noobs_rounds);
-  std::printf("legacy:          first epoch %8.1f ms, warm epochs %8.1f ms\n",
-              legacy.first_epoch_ms, legacy.warm_epoch_ms);
-  std::printf("engine:          first epoch %8.1f ms, warm epochs %8.1f ms\n",
-              engine.first_epoch_ms, engine.warm_epoch_ms);
-  std::printf("engine (no obs): first epoch %8.1f ms, warm epochs %8.1f ms\n",
-              noobs.first_epoch_ms, noobs.warm_epoch_ms);
+  const CostSummary on = Summarize(obs_rounds);
+  const CostSummary off = Summarize(noobs_rounds);
+  std::printf("metrics on:  first epoch %8.1f ms, warm epochs %8.1f ms\n",
+              on.first_epoch_ms, on.warm_epoch_ms);
+  std::printf("metrics off: first epoch %8.1f ms, warm epochs %8.1f ms\n",
+              off.first_epoch_ms, off.warm_epoch_ms);
 
-  // Engine determinism: metrics on/off and the alternate thread count must
-  // not move a single bit. Legacy determinism: its rounds agree with each
-  // other. Cross-engine: tolerance, with the max relative diff reported.
-  const bool engine_bitwise = TrajectoriesIdentical(
-      {&engine_rounds, &noobs_rounds, &alt_rounds});
-  const bool legacy_bitwise = TrajectoriesIdentical({&legacy_rounds});
-  const double cross_rel_diff = MaxRelLossDiff(
-      engine_rounds.front().losses, legacy_rounds.front().losses);
-  const bool cross_ok = cross_rel_diff <= 1e-6;
-  const double speedup_warm =
-      legacy.warm_epoch_ms / std::max(engine.warm_epoch_ms, 1e-9);
-  const double speedup_total =
-      legacy.total_seconds / std::max(engine.total_seconds, 1e-9);
-  const double obs_overhead_pct =
-      (engine.warm_epoch_ms - noobs.warm_epoch_ms) /
-      std::max(noobs.warm_epoch_ms, 1e-9) * 100.0;
+  // Determinism: metrics on/off and the alternate thread count must not
+  // move a single bit.
+  const bool bitwise =
+      TrajectoriesIdentical({&obs_rounds, &noobs_rounds, &alt_rounds});
+  const double obs_overhead_pct = (on.warm_epoch_ms - off.warm_epoch_ms) /
+                                  std::max(off.warm_epoch_ms, 1e-9) * 100.0;
   // Smoke epochs are sub-millisecond, where one scheduler blip swamps the
   // percentage; the gate only binds on the full-size workload.
   const bool obs_gate_ok = smoke || obs_overhead_pct < 2.0;
+  // Each interleaved on/off pair's own warm-epoch overhead: the spread of
+  // these is the run-to-run noise the gate value has to stand clear of.
+  std::vector<double> round_overhead_pct;
+  for (size_t i = 0; i < obs_rounds.size(); ++i) {
+    const double off_ms = WarmEpochMs(noobs_rounds[i].epoch_seconds);
+    round_overhead_pct.push_back(
+        (WarmEpochMs(obs_rounds[i].epoch_seconds) - off_ms) /
+        std::max(off_ms, 1e-9) * 100.0);
+  }
+  std::vector<double> sorted_overhead = round_overhead_pct;
+  std::sort(sorted_overhead.begin(), sorted_overhead.end());
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {
@@ -330,67 +296,50 @@ int Run(const EpochBenchConfig& cfg, const std::string& json_path,
                "  \"comment\": \"epoch_ms are per-epoch minima across the "
                "interleaved rounds; the rounds do bitwise-identical work, so "
                "the min strips scheduler noise\",\n");
-  std::fprintf(f, "  \"legacy_scatter\": {\n");
-  PrintEpochArray(f, "epoch_ms", legacy.epoch_seconds);
-  std::fprintf(f, "    \"first_epoch_ms\": %.1f,\n", legacy.first_epoch_ms);
-  std::fprintf(f, "    \"warm_epoch_ms\": %.1f\n  },\n",
-               legacy.warm_epoch_ms);
-  std::fprintf(f, "  \"engine\": {\n");
-  PrintEpochArray(f, "epoch_ms", engine.epoch_seconds);
-  std::fprintf(f, "    \"first_epoch_ms\": %.1f,\n", engine.first_epoch_ms);
-  std::fprintf(f, "    \"warm_epoch_ms\": %.1f\n  },\n",
-               engine.warm_epoch_ms);
-  std::fprintf(f, "  \"speedup_per_epoch\": %.2f,\n", speedup_warm);
-  std::fprintf(f, "  \"speedup_total\": %.2f,\n", speedup_total);
+  std::fprintf(f, "  \"training\": {\n");
+  PrintEpochArray(f, "epoch_ms", on.epoch_seconds);
+  std::fprintf(f, "    \"first_epoch_ms\": %.1f,\n", on.first_epoch_ms);
+  std::fprintf(f, "    \"warm_epoch_ms\": %.1f\n  },\n", on.warm_epoch_ms);
   std::fprintf(f, "  \"obs\": {\n");
-  std::fprintf(f, "    \"enabled_warm_epoch_ms\": %.1f,\n",
-               engine.warm_epoch_ms);
+  std::fprintf(f, "    \"enabled_warm_epoch_ms\": %.1f,\n", on.warm_epoch_ms);
   std::fprintf(f, "    \"disabled_warm_epoch_ms\": %.1f,\n",
-               noobs.warm_epoch_ms);
+               off.warm_epoch_ms);
   std::fprintf(f, "    \"overhead_pct\": %.2f,\n", obs_overhead_pct);
+  std::fprintf(f, "    \"per_round_overhead_pct\": [");
+  for (size_t i = 0; i < round_overhead_pct.size(); ++i) {
+    std::fprintf(f, "%s%.2f", i == 0 ? "" : ", ", round_overhead_pct[i]);
+  }
+  std::fprintf(f, "],\n");
+  std::fprintf(f,
+               "    \"per_round_overhead_spread\": {\"min\": %.2f, "
+               "\"q1\": %.2f, \"median\": %.2f, \"q3\": %.2f, "
+               "\"max\": %.2f},\n",
+               sorted_overhead.front(), Quantile(sorted_overhead, 0.25),
+               Quantile(sorted_overhead, 0.5), Quantile(sorted_overhead, 0.75),
+               sorted_overhead.back());
   std::fprintf(f, "    \"gate\": \"overhead_pct < 2.0 (full-size runs)\",\n");
   std::fprintf(f, "    \"gate_ok\": %s\n  },\n", obs_gate_ok ? "true"
                                                              : "false");
-  std::fprintf(f, "  \"engine_alt_threads\": %d,\n", alt_threads);
-  std::fprintf(f, "  \"loss_trajectory_bitwise_identical\": %s,\n",
-               engine_bitwise ? "true" : "false");
-  std::fprintf(f, "  \"legacy_trajectory_bitwise_identical\": %s,\n",
-               legacy_bitwise ? "true" : "false");
-  std::fprintf(f,
-               "  \"legacy_vs_engine\": {\"max_rel_loss_diff\": %.3g, "
-               "\"gate\": \"<= 1e-6\", \"gate_ok\": %s}\n}\n",
-               cross_rel_diff, cross_ok ? "true" : "false");
+  std::fprintf(f, "  \"alt_threads\": %d,\n", alt_threads);
+  std::fprintf(f, "  \"loss_trajectory_bitwise_identical\": %s\n}\n",
+               bitwise ? "true" : "false");
   std::fclose(f);
 
-  std::printf(
-      "per-epoch speedup %.2fx (total %.2fx)\n"
-      "engine trajectory (obs on/off, threads %d/%d): %s\n"
-      "legacy trajectory across rounds: %s\n"
-      "legacy vs engine max rel loss diff %.3g (gate <= 1e-6: %s)\n",
-      speedup_warm, speedup_total, cfg.threads, alt_threads,
-      engine_bitwise ? "bitwise-identical" : "MISMATCH",
-      legacy_bitwise ? "bitwise-identical" : "MISMATCH",
-      cross_rel_diff, cross_ok ? "ok" : "FAIL");
-  std::printf("metrics overhead %+.2f%% per warm epoch (gate: < 2%%%s)\n",
-              obs_overhead_pct, smoke ? ", not binding in --smoke" : "");
+  std::printf("loss trajectory (metrics on/off, threads %d/%d): %s\n",
+              cfg.threads, alt_threads,
+              bitwise ? "bitwise-identical" : "MISMATCH");
+  std::printf("metrics overhead %+.2f%% per warm epoch (gate: < 2%%%s); "
+              "per round min %+.2f%% q1 %+.2f%% median %+.2f%% q3 %+.2f%% "
+              "max %+.2f%%\n",
+              obs_overhead_pct, smoke ? ", not binding in --smoke" : "",
+              sorted_overhead.front(), Quantile(sorted_overhead, 0.25),
+              Quantile(sorted_overhead, 0.5), Quantile(sorted_overhead, 0.75),
+              sorted_overhead.back());
   std::printf("wrote %s\n", json_path.c_str());
-  if (!engine_bitwise) {
+  if (!bitwise) {
     std::fprintf(stderr,
-                 "FAIL: engine rounds (obs on/off, alternate threads) did "
-                 "not reproduce the loss trajectory bitwise\n");
-    return 1;
-  }
-  if (!legacy_bitwise) {
-    std::fprintf(stderr,
-                 "FAIL: legacy rounds did not reproduce each other "
-                 "bitwise\n");
-    return 1;
-  }
-  if (!cross_ok) {
-    std::fprintf(stderr,
-                 "FAIL: legacy and engine loss trajectories differ by "
-                 "%.3g (budget: 1e-6)\n",
-                 cross_rel_diff);
+                 "FAIL: rounds (metrics on/off, alternate threads) did not "
+                 "reproduce the loss trajectory bitwise\n");
     return 1;
   }
   if (!obs_gate_ok) {
@@ -403,6 +352,28 @@ int Run(const EpochBenchConfig& cfg, const std::string& json_path,
   return 0;
 }
 
+/// Parses the value of an integer flag into *out; it must be a whole number
+/// >= 1 that fits T. Prints the problem and returns false on anything else.
+template <typename T>
+bool ParsePositiveFlag(const char* flag, const char* raw, T* out) {
+  const util::Result<int64_t> parsed = util::ParseInt(raw);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "invalid value for --%s: \"%s\" (%s)\n", flag, raw,
+                 parsed.status().message().c_str());
+    return false;
+  }
+  const int64_t v = parsed.ValueOrDie();
+  const uint64_t max = std::numeric_limits<T>::max();
+  if (v < 1 || static_cast<uint64_t>(v) > max) {
+    std::fprintf(stderr, "--%s must be between 1 and %llu, got %lld\n", flag,
+                 static_cast<unsigned long long>(max),
+                 static_cast<long long>(v));
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
 }  // namespace
 }  // namespace adamgnn
 
@@ -411,9 +382,32 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_epoch.json";
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--smoke") == 0) {
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--nodes=", 8) == 0) {
+      if (!adamgnn::ParsePositiveFlag("nodes", arg + 8, &cfg.nodes)) return 1;
+    } else if (std::strncmp(arg, "--epochs=", 9) == 0) {
+      if (!adamgnn::ParsePositiveFlag("epochs", arg + 9, &cfg.epochs)) {
+        return 1;
+      }
+    } else if (std::strncmp(arg, "--degree=", 9) == 0) {
+      if (!adamgnn::ParsePositiveFlag("degree", arg + 9, &cfg.avg_degree)) {
+        return 1;
+      }
+    } else if (std::strncmp(arg, "--hidden=", 9) == 0) {
+      if (!adamgnn::ParsePositiveFlag("hidden", arg + 9, &cfg.hidden_dim)) {
+        return 1;
+      }
+    } else if (std::strncmp(arg, "--repeats=", 10) == 0) {
+      if (!adamgnn::ParsePositiveFlag("repeats", arg + 10, &cfg.repeats)) {
+        return 1;
+      }
+    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+      if (!adamgnn::ParsePositiveFlag("threads", arg + 10, &cfg.threads)) {
+        return 1;
+      }
+    } else if (std::strncmp(arg, "--json=", 7) == 0) {
+      json_path = arg + 7;
+    } else if (std::strcmp(arg, "--smoke") == 0) {
       smoke = true;
       cfg.nodes = 600;
       cfg.epochs = 3;
@@ -421,34 +415,22 @@ int main(int argc, char** argv) {
       cfg.hidden_dim = 16;
       cfg.avg_degree = 8;
       cfg.repeats = 1;
-    } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      cfg.nodes = static_cast<size_t>(std::atol(argv[i] + 8));
-    } else if (std::strncmp(argv[i], "--epochs=", 9) == 0) {
-      cfg.epochs = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--degree=", 9) == 0) {
-      cfg.avg_degree = static_cast<size_t>(std::atol(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--hidden=", 9) == 0) {
-      cfg.hidden_dim = static_cast<size_t>(std::atol(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--repeats=", 10) == 0) {
-      cfg.repeats = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      cfg.threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--isa=", 6) == 0) {
+    } else if (std::strncmp(arg, "--isa=", 6) == 0) {
       adamgnn::tensor::Isa isa;
-      if (!adamgnn::tensor::ParseIsa(argv[i] + 6, &isa)) {
+      if (!adamgnn::tensor::ParseIsa(arg + 6, &isa)) {
         std::fprintf(stderr, "--isa must be scalar|sse2|avx2, got \"%s\"\n",
-                     argv[i] + 6);
+                     arg + 6);
         return 1;
       }
       if (!adamgnn::tensor::SetIsa(isa)) {
         std::fprintf(
             stderr, "--isa=%s is not supported on this CPU (best: %s)\n",
-            argv[i] + 6,
+            arg + 6,
             adamgnn::tensor::IsaName(adamgnn::tensor::BestSupportedIsa()));
         return 1;
       }
     } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "unknown flag %s\n", arg);
       return 1;
     }
   }

@@ -242,9 +242,8 @@ tensor::Matrix NaiveSpmmTranspose(const graph::SparseMatrix& s,
 /// How a kernel's backend output is required to relate to its naive
 /// reference. The FMA-free sparse/segment kernels share the naive loops'
 /// exact fold order, so they must match bitwise at every ISA; dense GEMM
-/// legitimately differs on avx2 (explicit FMA) and the legacy-engine A/B
-/// pairs legitimately differ at multi-chunk shapes (the legacy partial-sum
-/// merge order is not the engine's plain ascending fold).
+/// legitimately differs on avx2 (explicit FMA). SoftmaxRows is checked to
+/// tolerance as well.
 enum class CrossCheck { kBitwise, kTolerance };
 
 struct KernelReport {
@@ -414,21 +413,6 @@ std::vector<KernelReport> RunKernelComparison() {
         "SegmentSum", dim2(kSegmentRows, 64) + "->1000", kReps,
         [&] { return NaiveSegmentSum(a, seg, num_segments); },
         [&] { return tensor::SegmentSum(a, seg, num_segments); }));
-    // Engine A/B at the same shape: the legacy scatter-with-partials kernel
-    // ("naive" column) against the engine's adaptive strategies. At this
-    // multi-chunk shape the legacy partial-sum merge order differs from the
-    // engine's plain ascending fold, so the cross-check is to tolerance;
-    // the engine itself stays bitwise across thread counts.
-    reports.push_back(CompareKernel(
-        "SegmentSumEngine", dim2(kSegmentRows, 64) + "->1000", kReps,
-        [&] {
-          graph::SetSparseEngine(graph::SparseEngine::kLegacyScatter);
-          tensor::Matrix out = tensor::SegmentSum(a, seg, num_segments);
-          graph::SetSparseEngine(graph::SparseEngine::kCachedGather);
-          return out;
-        },
-        [&] { return tensor::SegmentSum(a, seg, num_segments); },
-        CrossCheck::kTolerance));
   }
   {
     graph::SparseMatrix s = RandomSparse(kSpmmNodes, 8, &rng);
@@ -445,19 +429,6 @@ std::vector<KernelReport> RunKernelComparison() {
         "SpMMTranspose", SpmmShape("^T"), kReps,
         [&] { return NaiveSpmmTranspose(s, x); },
         [&] { return s.TransposeMultiplyDense(x); }));
-    // Engine A/B: legacy scatter SpMMᵀ ("naive") against the cached-
-    // transpose gather engine — tolerance at this multi-chunk shape, for
-    // the same fold-order reason as SegmentSumEngine.
-    reports.push_back(CompareKernel(
-        "SpMMTransposeEngine", SpmmShape("^T"), kReps,
-        [&] {
-          graph::SetSparseEngine(graph::SparseEngine::kLegacyScatter);
-          tensor::Matrix out = s.TransposeMultiplyDense(x);
-          graph::SetSparseEngine(graph::SparseEngine::kCachedGather);
-          return out;
-        },
-        [&] { return s.TransposeMultiplyDense(x); },
-        CrossCheck::kTolerance));
   }
   return reports;
 }

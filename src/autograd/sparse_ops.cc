@@ -23,46 +23,16 @@ namespace {
 // per-ISA lane primitives of tensor/simd_ops.h, which use no FMA at any ISA
 // — so SpMMValues results are bitwise-identical across scalar/sse2/avx2.
 
-// Legacy engine: out(out_rows[k], :) += weight(k) * x(in_rows[k], :) for k
-// in [0, nnz), scattered through per-chunk partials merged in chunk order.
-// The entry-chunk decomposition is a pure function of the shapes, so the
-// merge — and the result — is bitwise-identical at every thread count.
-template <typename WeightFn>
-void ScatterRows(const SparsePattern& pattern,
-                 const std::vector<size_t>& out_rows,
-                 const std::vector<size_t>& in_rows, WeightFn weight,
+// out(row, :) += w(k) * x(col, :) over the pattern's entries, with adaptive
+// strategy selection. `transpose=false` is the forward; `transpose=true`
+// swaps the index roles (the dx backward). Both strategies fold each output
+// row's contributions in ascending entry order into the zero-initialized
+// `out`, so they produce identical bits — to each other and to a plain
+// serial loop — at every ISA and thread count. The serial strategy
+// additionally skips building (and caching) the entry groups: the right
+// call when the pool cannot help or the multiply is small.
+void PatternSpmm(const SparsePattern& pattern, bool transpose, const double* w,
                  const Matrix& x, Matrix* out) {
-  const size_t nnz = pattern.nnz();
-  const size_t d = x.cols();
-  if (nnz == 0) return;
-  const std::vector<util::ChunkRange> chunks = util::SplitRange(
-      0, nnz, tensor::tuning::LegacyEntryScatterGrain(nnz, nnz * d));
-  std::vector<Matrix> partials;
-  for (size_t ci = 1; ci < chunks.size(); ++ci) {
-    partials.emplace_back(out->rows(), d);
-  }
-  util::ParallelForChunks(chunks.size(), [&](size_t ci) {
-    Matrix& dst = ci == 0 ? *out : partials[ci - 1];
-    for (size_t k = chunks[ci].begin; k < chunks[ci].end; ++k) {
-      const double v = weight(k);
-      const double* xr = x.row(in_rows[k]);
-      double* orow = dst.row(out_rows[k]);
-      for (size_t j = 0; j < d; ++j) orow[j] += v * xr[j];
-    }
-  });
-  for (const Matrix& partial : partials) *out += partial;
-}
-
-// Engine counterpart of ScatterRows with adaptive strategy selection.
-// `transpose=false` computes out(row, :) += w(k) * x(col, :) (forward);
-// `transpose=true` swaps the index roles (the dx backward). Both strategies
-// fold each output row's contributions in ascending entry order into the
-// zero-initialized `out`, so they produce identical bits — to each other and
-// to a plain serial loop — at every ISA and thread count. The serial
-// strategy additionally skips building (and caching) the entry groups: the
-// right call when the pool cannot help or the multiply is small.
-void EngineSpmm(const SparsePattern& pattern, bool transpose, const double* w,
-                const Matrix& x, Matrix* out) {
   const size_t nnz = pattern.nnz();
   const size_t d = x.cols();
   if (nnz == 0) return;
@@ -162,14 +132,8 @@ Variable SpMMValues(std::shared_ptr<const SparsePattern> pattern,
   auto px = x.node();
 
   Matrix out(pattern->rows, x.cols());
-  if (graph::GetSparseEngine() == graph::SparseEngine::kLegacyScatter) {
-    const Matrix& vals = pv->value;
-    ScatterRows(*pattern, pattern->row_indices, pattern->col_indices,
-                [&vals](size_t k) { return vals(k, 0); }, px->value, &out);
-  } else {
-    EngineSpmm(*pattern, /*transpose=*/false, pv->value.data(), px->value,
-               &out);
-  }
+  PatternSpmm(*pattern, /*transpose=*/false, pv->value.data(), px->value,
+              &out);
 
   return Variable::FromNode(NewOpNode(
       std::move(out), {pv, px}, [pattern, pv, px](Node& self) {
@@ -196,18 +160,10 @@ Variable SpMMValues(std::shared_ptr<const SparsePattern> pattern,
         }
         if (px->requires_grad) {
           // dx rows through the transposed pattern: gather per dx row via
-          // the cached column groups (legacy: scatter through partials).
+          // the cached column groups.
           Matrix dx(px->value.rows(), d);
-          const Matrix& vals = pv->value;
-          if (graph::GetSparseEngine() ==
-              graph::SparseEngine::kLegacyScatter) {
-            ScatterRows(*pattern, pattern->col_indices, pattern->row_indices,
-                        [&vals](size_t k) { return vals(k, 0); }, self.grad,
-                        &dx);
-          } else {
-            EngineSpmm(*pattern, /*transpose=*/true, vals.data(), self.grad,
-                       &dx);
-          }
+          PatternSpmm(*pattern, /*transpose=*/true, pv->value.data(),
+                      self.grad, &dx);
           AccumulateGrad(px.get(), dx);
         }
       }));

@@ -6,7 +6,7 @@
 // are bitwise-identical at every thread count (ADAMGNN_NUM_THREADS /
 // util::SetNumThreads), including the serial threads == 1 fallback: either
 // the decomposition is a pure function of the operand shapes, or (GEMM and
-// the engine-path reductions) every decomposition produces the same
+// the segment reductions) every decomposition produces the same
 // per-element fold order, so consulting the pool size for strategy
 // selection cannot change bits.
 //
@@ -87,10 +87,10 @@ Matrix SegmentMean(const Matrix& a, const std::vector<size_t>& segments,
 
 /// Indexed row accumulation: out(index[i], :) += a(i, :), out has num_rows
 /// rows. Bitwise-identical to the plain serial ascending-i loop at every
-/// thread count and strategy; under the gather engine large inputs run
-/// segment-grouped and row-parallel instead (the backward of a row gather,
-/// the forward of a row scatter), picked adaptively per call (see
-/// tensor/tuning.h). Every index must be < num_rows.
+/// thread count and strategy; large inputs run segment-grouped and
+/// row-parallel instead (the backward of a row gather, the forward of a row
+/// scatter), picked adaptively per call (see tensor/tuning.h). Every index
+/// must be < num_rows.
 Matrix IndexAddRows(const Matrix& a, const std::vector<size_t>& index,
                     size_t num_rows);
 

@@ -236,35 +236,92 @@ TEST(SpMMValuesThreadingTest, ForwardAndBackwardBitwiseAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine A/B: the cached-gather engine must agree with the legacy scatter
-// engine through every autograd sparse op at a shape above the
-// parallel-work gate. The legacy scatter merges per-chunk partial sums in a
-// different order than the engine's plain ascending fold, so agreement here
-// is to tolerance; each engine individually is bitwise thread-invariant
-// (covered by the threading tests above, which run the default engine, and
-// by the engine tests in kernels_test / sparse_matrix_test).
+// Values and gradients of every autograd sparse op against independent
+// serial loops, bitwise, at every thread count. Each loop folds each output
+// element in ascending source order from +0.0 — the order the sparse kernels
+// promise for every strategy and decomposition. The shape sits above the
+// parallel-work gate, so with more than one worker the row-parallel gathers
+// run in many chunks.
 // ---------------------------------------------------------------------------
 
-TEST(SparseEngineABTest, GatherMatchesLegacyScatterWithinTolerance) {
+/// out(r, :) += v * x(c, :) over the CSR entries (r, c, v) in storage order;
+/// `transpose` swaps the roles of r and c.
+Matrix SerialCsrMultiply(const SparseMatrix& s, const Matrix& x,
+                         bool transpose) {
+  Matrix out(transpose ? s.cols() : s.rows(), x.cols());
+  for (size_t r = 0; r < s.rows(); ++r) {
+    for (size_t k = s.row_offsets()[r]; k < s.row_offsets()[r + 1]; ++k) {
+      const size_t c = s.col_indices()[k];
+      const size_t dst = transpose ? c : r, src = transpose ? r : c;
+      for (size_t j = 0; j < x.cols(); ++j) {
+        out(dst, j) += s.values()[k] * x(src, j);
+      }
+    }
+  }
+  return out;
+}
+
+/// out(dst[k], :) += v(k) * x(src[k], :) for k ascending.
+Matrix SerialPatternMultiply(const std::vector<size_t>& dst,
+                             const std::vector<size_t>& src, const Matrix& v,
+                             const Matrix& x, size_t out_rows) {
+  Matrix out(out_rows, x.cols());
+  for (size_t k = 0; k < dst.size(); ++k) {
+    for (size_t j = 0; j < x.cols(); ++j) {
+      out(dst[k], j) += v(k, 0) * x(src[k], j);
+    }
+  }
+  return out;
+}
+
+/// Sum(y ⊙ w): its gradient with respect to y is exactly w.
+Variable DotWith(const Variable& y, const Matrix& w) {
+  return Sum(CwiseMul(y, Variable::Constant(w)));
+}
+
+TEST(SparseSerialLoopTest, OpsMatchSerialLoopsBitwiseAtEveryThreadCount) {
   auto s = LargeSparse(2000, 1500, 30000, 50);
   auto p = LargePattern(2000, 1500, 30000, 51);
   util::Rng rng(52);
   const Matrix xs0 = Matrix::Gaussian(1500, 64, 1.0, &rng);
   const Matrix xt0 = Matrix::Gaussian(2000, 64, 1.0, &rng);
   const Matrix v0 = Matrix::Uniform(p->nnz(), 1, 0.2, 1.0, &rng);
+  const Matrix w_spmm = Matrix::Gaussian(2000, 64, 1.0, &rng);
+  const Matrix w_spmmt = Matrix::Gaussian(1500, 64, 1.0, &rng);
+  const Matrix w_values = Matrix::Gaussian(2000, 64, 1.0, &rng);
+
+  std::vector<Matrix> expect;
+  expect.push_back(SerialCsrMultiply(*s, xs0, /*transpose=*/false));
+  expect.push_back(SerialCsrMultiply(*s, w_spmm, /*transpose=*/true));
+  expect.push_back(SerialCsrMultiply(*s, xt0, /*transpose=*/true));
+  expect.push_back(SerialCsrMultiply(*s, w_spmmt, /*transpose=*/false));
+  expect.push_back(SerialPatternMultiply(p->row_indices, p->col_indices, v0,
+                                         xs0, p->rows));
+  Matrix dvals(p->nnz(), 1);
+  for (size_t k = 0; k < p->nnz(); ++k) {
+    double acc = 0.0;
+    for (size_t j = 0; j < xs0.cols(); ++j) {
+      acc += w_values(p->row_indices[k], j) * xs0(p->col_indices[k], j);
+    }
+    dvals(k, 0) = acc;
+  }
+  expect.push_back(dvals);
+  expect.push_back(SerialPatternMultiply(p->col_indices, p->row_indices, v0,
+                                         w_values, p->cols));
+
   auto run = [&] {
     std::vector<Matrix> out;
     {
       Variable x = Variable::Parameter(xs0);
       Variable y = SpMM(s, x);
-      Backward(WeightedSum(y, 53));
+      Backward(DotWith(y, w_spmm));
       out.push_back(y.value());
       out.push_back(x.grad());
     }
     {
       Variable x = Variable::Parameter(xt0);
       Variable y = SpMMTranspose(s, x);
-      Backward(WeightedSum(y, 54));
+      Backward(DotWith(y, w_spmmt));
       out.push_back(y.value());
       out.push_back(x.grad());
     }
@@ -272,22 +329,24 @@ TEST(SparseEngineABTest, GatherMatchesLegacyScatterWithinTolerance) {
       Variable v = Variable::Parameter(v0);
       Variable x = Variable::Parameter(xs0);
       Variable y = SpMMValues(p, v, x);
-      Backward(WeightedSum(y, 55));
+      Backward(DotWith(y, w_values));
       out.push_back(y.value());
       out.push_back(v.grad());
       out.push_back(x.grad());
     }
     return out;
   };
-  graph::SetSparseEngine(graph::SparseEngine::kLegacyScatter);
-  const std::vector<Matrix> legacy = run();
-  graph::SetSparseEngine(graph::SparseEngine::kCachedGather);
-  const std::vector<Matrix> gather = run();
-  ASSERT_EQ(legacy.size(), gather.size());
-  for (size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_TRUE(tensor::AllClose(gather[i], legacy[i], 1e-9))
-        << "output " << i << " differs beyond tolerance";
+  for (int t : {1, 2, 4, 7}) {
+    util::SetNumThreads(t);
+    const std::vector<Matrix> got = run();
+    ASSERT_EQ(got.size(), expect.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i] == expect[i])
+          << "output " << i << " differs from its serial loop at threads="
+          << t;
+    }
   }
+  util::SetNumThreads(0);
 }
 
 // ---------------------------------------------------------------------------

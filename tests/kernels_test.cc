@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
-#include "tensor/engine.h"
+#include "tensor/tuning.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -260,77 +260,63 @@ TEST(KernelsThreadingTest, SegmentKernelsBitwiseAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine A/B: every strategy of the engine's segment kernels must be bitwise
-// thread-invariant, and must agree with the legacy scatter form — bitwise
-// where the legacy path runs a single chunk (a plain ascending fold), to
-// tolerance on shapes large enough for its multi-chunk partial merge.
+// Segment reductions against an independent serial loop: every strategy
+// (serial scatter, row-parallel gather) must reproduce it bit for bit at
+// every thread count, on shapes large enough for the gather to run in many
+// chunks whenever more than one worker is available.
 // ---------------------------------------------------------------------------
 
-class EngineFlip {
- public:
-  ~EngineFlip() { SetSparseEngine(SparseEngine::kCachedGather); }
-
-  template <typename Fn>
-  static Matrix Under(SparseEngine engine, const Fn& fn) {
-    SetSparseEngine(engine);
-    Matrix out = fn();
-    SetSparseEngine(SparseEngine::kCachedGather);
-    return out;
+/// out(index[r], :) += a(r, :) for r ascending, from +0.0.
+Matrix SerialIndexAdd(const Matrix& a, const std::vector<size_t>& index,
+                      size_t num_rows) {
+  Matrix out(num_rows, a.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t j = 0; j < a.cols(); ++j) out(index[r], j) += a(r, j);
   }
-};
+  return out;
+}
 
-TEST(KernelsEngineTest, SegmentSumEnginesThreadInvariantAndAgree) {
-  EngineFlip guard;
+template <typename Fn>
+void ExpectMatchesAtEveryThreadCount(const Matrix& expect, const Fn& fn) {
+  for (int t : {1, 2, 4, 7}) {
+    util::SetNumThreads(t);
+    EXPECT_TRUE(fn() == expect) << "differs from the serial loop at threads="
+                                << t;
+  }
+  util::SetNumThreads(0);
+}
+
+TEST(KernelsSerialLoopTest, SegmentSumMatchesSerialLoopBitwise) {
   util::Rng rng(28);
-  Matrix a = Matrix::Gaussian(20000, 24, 1.0, &rng);  // several legacy chunks
+  Matrix a = Matrix::Gaussian(20000, 24, 1.0, &rng);
   const size_t num_segments = 700;
   std::vector<size_t> seg(a.rows());
   for (auto& s : seg) s = rng.NextUint64(num_segments);
-  util::SetNumThreads(1);
-  const Matrix scatter_ref = EngineFlip::Under(
-      SparseEngine::kLegacyScatter,
-      [&] { return SegmentSum(a, seg, num_segments); });
-  const Matrix engine_ref = EngineFlip::Under(
-      SparseEngine::kCachedGather,
-      [&] { return SegmentSum(a, seg, num_segments); });
-  for (int t : {2, 7}) {
-    util::SetNumThreads(t);
-    Matrix scatter = EngineFlip::Under(
-        SparseEngine::kLegacyScatter,
-        [&] { return SegmentSum(a, seg, num_segments); });
-    Matrix engine = EngineFlip::Under(
-        SparseEngine::kCachedGather,
-        [&] { return SegmentSum(a, seg, num_segments); });
-    EXPECT_TRUE(scatter == scatter_ref)
-        << "legacy scatter not thread-invariant at threads=" << t;
-    EXPECT_TRUE(engine == engine_ref)
-        << "engine not thread-invariant at threads=" << t;
-  }
-  util::SetNumThreads(0);
-  // The legacy multi-chunk merge folds partial sums in a different order
-  // than the engine's plain ascending fold, so cross-engine equality here is
-  // to tolerance (single-chunk shapes stay bitwise — see the tests above).
-  EXPECT_TRUE(AllClose(engine_ref, scatter_ref, 1e-9));
+  // With two or more workers this shape takes the parallel gather.
+  ASSERT_EQ(tuning::ChooseSegmentReduce(a.rows(), a.cols(), num_segments, 2),
+            tuning::ReduceStrategy::kParallelGather);
+  ExpectMatchesAtEveryThreadCount(SerialIndexAdd(a, seg, num_segments), [&] {
+    return SegmentSum(a, seg, num_segments);
+  });
 }
 
-TEST(KernelsEngineTest, IndexAddRowsGatherMatchesSerialBitwise) {
-  EngineFlip guard;
+TEST(KernelsSerialLoopTest, IndexAddRowsMatchesSerialLoopBitwise) {
   util::Rng rng(29);
-  Matrix a = Matrix::Gaussian(12000, 16, 1.0, &rng);  // above the gather gate
   const size_t num_rows = 900;
-  std::vector<size_t> idx(a.rows());
-  for (auto& s : idx) s = rng.NextUint64(num_rows);
-  Matrix serial = EngineFlip::Under(
-      SparseEngine::kLegacyScatter,
-      [&] { return IndexAddRows(a, idx, num_rows); });
-  for (int t : {1, 2, 7}) {
-    util::SetNumThreads(t);
-    Matrix gather = EngineFlip::Under(
-        SparseEngine::kCachedGather,
-        [&] { return IndexAddRows(a, idx, num_rows); });
-    EXPECT_TRUE(gather == serial) << "engines differ at threads=" << t;
+  // 12000 x 16 sits below the gather gate (serial scatter at any thread
+  // count); 12000 x 32 sits above it.
+  for (size_t cols : {16, 32}) {
+    Matrix a = Matrix::Gaussian(12000, cols, 1.0, &rng);
+    std::vector<size_t> idx(a.rows());
+    for (auto& s : idx) s = rng.NextUint64(num_rows);
+    ExpectMatchesAtEveryThreadCount(SerialIndexAdd(a, idx, num_rows), [&] {
+      return IndexAddRows(a, idx, num_rows);
+    });
   }
-  util::SetNumThreads(0);
+  EXPECT_EQ(tuning::ChooseSegmentReduce(12000, 16, num_rows, 2),
+            tuning::ReduceStrategy::kSerialScatter);
+  EXPECT_EQ(tuning::ChooseSegmentReduce(12000, 32, num_rows, 2),
+            tuning::ReduceStrategy::kParallelGather);
 }
 
 // ---------------------------------------------------------------------------

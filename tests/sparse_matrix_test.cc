@@ -187,20 +187,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SparseRandomSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // ---------------------------------------------------------------------------
-// Sparse engine: the cached transposed view, the adaptive SpMMᵀ strategies,
-// their bitwise thread-invariance, and their agreement with the legacy
-// scatter kernel (bitwise at single-chunk shapes, tolerance beyond).
+// Sparse engine: the cached transposed view and the adaptive SpMMᵀ
+// strategies, checked bitwise against an independent serial loop at every
+// thread count.
 // ---------------------------------------------------------------------------
 
-/// Restores the process default (gather) no matter how a test exits.
-struct EngineGuard {
-  ~EngineGuard() { SetSparseEngine(SparseEngine::kCachedGather); }
-};
+constexpr int kThreadCounts[] = {1, 2, 4, 7};
 
-Matrix WithEngine(SparseEngine e, const SparseMatrix& m, const Matrix& x) {
-  EngineGuard guard;
-  SetSparseEngine(e);
-  return m.TransposeMultiplyDense(x);
+/// Independent SpMMᵀ reference: a plain serial CSR loop that folds each
+/// output row's contributions in ascending source-row order from +0.0.
+Matrix SerialTransposeMultiply(const SparseMatrix& m, const Matrix& x) {
+  Matrix out(m.cols(), x.cols());
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t k = m.row_offsets()[r]; k < m.row_offsets()[r + 1]; ++k) {
+      const double v = m.values()[k];
+      for (size_t j = 0; j < x.cols(); ++j) {
+        out(m.col_indices()[k], j) += v * x(r, j);
+      }
+    }
+  }
+  return out;
 }
 
 SparseMatrix RandomSparse(size_t rows, size_t cols, size_t nnz,
@@ -277,7 +283,7 @@ TEST(SparseEngineTest, RowNormalizedDoesNotInheritStaleView) {
                        tensor::MatMul(r.ToDense().Transposed(), x), 1e-12));
 }
 
-TEST(SparseEngineTest, GatherMatchesScatterBitwiseOnEdgeShapes) {
+TEST(SparseEngineTest, TransposeMatchesSerialLoopBitwiseOnEdgeShapes) {
   util::Rng rng(24);
   std::vector<SparseMatrix> cases;
   // Rows with no entries and columns no entry lands in (all-zero view rows).
@@ -295,39 +301,36 @@ TEST(SparseEngineTest, GatherMatchesScatterBitwiseOnEdgeShapes) {
   cases.push_back(SparseMatrix::FromTriplets(4, 3, {}));
   for (const SparseMatrix& m : cases) {
     Matrix x = Matrix::Gaussian(m.rows(), 3, 1.0, &rng);
-    Matrix gather = WithEngine(SparseEngine::kCachedGather, m, x);
-    Matrix scatter = WithEngine(SparseEngine::kLegacyScatter, m, x);
-    EXPECT_TRUE(gather == scatter) << m.DebugString();
-    EXPECT_TRUE(AllClose(gather, tensor::MatMul(m.ToDense().Transposed(), x),
+    const Matrix expect = SerialTransposeMultiply(m, x);
+    for (int t : kThreadCounts) {
+      util::SetNumThreads(t);
+      EXPECT_TRUE(m.TransposeMultiplyDense(x) == expect)
+          << "threads=" << t << " " << m.DebugString();
+    }
+    util::SetNumThreads(0);
+    EXPECT_TRUE(AllClose(expect, tensor::MatMul(m.ToDense().Transposed(), x),
                          1e-12))
         << m.DebugString();
   }
 }
 
-TEST(SparseEngineTest, EnginesAreThreadInvariantAndAgree) {
-  // Above the parallel-work gate (nnz * cols = 40000 * 64 > 2^20) with
-  // rows >> scatter grain, so the legacy scatter runs its multi-chunk
-  // partial merge. Each engine must be bitwise thread-invariant; the legacy
-  // merge order differs from the engine's plain ascending fold at
-  // multi-chunk shapes like this one, so the engines agree to tolerance
-  // (bitwise at single-chunk shapes — see the edge-shape test above).
+TEST(SparseEngineTest, TransposeMatchesSerialLoopBitwiseAtEveryThreadCount) {
+  // Above the parallel-work gate (nnz * cols = 40000 * 64 > 2^20), so with
+  // more than one effective worker the gather over the cached transposed
+  // view runs row-parallel in many chunks; at one thread the serial scatter
+  // runs. Both must reproduce the serial loop bit for bit.
   SparseMatrix m = RandomSparse(3000, 2500, 40000, 25);
   util::Rng rng(26);
   const Matrix x = Matrix::Gaussian(3000, 64, 1.0, &rng);
-  util::SetNumThreads(1);
-  const Matrix engine_ref = WithEngine(SparseEngine::kCachedGather, m, x);
-  const Matrix legacy_ref = WithEngine(SparseEngine::kLegacyScatter, m, x);
-  for (int t : {2, 4, 7}) {
+  const Matrix expect = SerialTransposeMultiply(m, x);
+  for (int t : kThreadCounts) {
     util::SetNumThreads(t);
-    EXPECT_TRUE(WithEngine(SparseEngine::kCachedGather, m, x) == engine_ref)
-        << "gather engine not thread-invariant at threads=" << t;
-    EXPECT_TRUE(WithEngine(SparseEngine::kLegacyScatter, m, x) == legacy_ref)
-        << "legacy scatter not thread-invariant at threads=" << t;
+    EXPECT_TRUE(m.TransposeMultiplyDense(x) == expect)
+        << "differs from the serial loop at threads=" << t;
   }
   util::SetNumThreads(0);
-  EXPECT_TRUE(AllClose(engine_ref, legacy_ref, 1e-9));
-  EXPECT_TRUE(AllClose(engine_ref,
-                       tensor::MatMul(m.ToDense().Transposed(), x), 1e-9));
+  EXPECT_TRUE(AllClose(expect, tensor::MatMul(m.ToDense().Transposed(), x),
+                       1e-9));
 }
 
 TEST(SparseEngineTest, ConcurrentFirstUseBuildsTheViewOnce) {

@@ -12,11 +12,6 @@
 namespace adamgnn::tensor {
 namespace {
 
-/// Restores the process-wide arena switch no matter how a test exits.
-struct EnabledGuard {
-  ~EnabledGuard() { Workspace::SetEnabled(true); }
-};
-
 TEST(WorkspaceTest, UnboundThreadHasNoWorkspace) {
   EXPECT_EQ(Workspace::Current(), nullptr);
   // Matrices still work off plain allocation; destruction releases nowhere.
@@ -167,15 +162,16 @@ TEST(WorkspaceTest, CopyAssignmentOfSameSizeReusesOwnBuffer) {
   EXPECT_TRUE(a == b);
 }
 
-TEST(WorkspaceTest, DisabledArenaRetainsNothing) {
-  EnabledGuard guard;
+TEST(WorkspaceTest, UnboundThreadParksNothing) {
   Workspace ws;
-  Workspace::Bind bind(&ws);
-  Workspace::SetEnabled(false);
-  { Matrix m(5, 5, 1.0); }
+  { Workspace::Bind bind(&ws); }  // bound once, then released
+  { Matrix m(5, 5, 1.0); }        // built and destroyed unbound
   EXPECT_EQ(ws.stats().retained_buffers, 0u);
-  Workspace::SetEnabled(true);
-  { Matrix m(5, 5, 1.0); }
+  EXPECT_EQ(ws.stats().hits + ws.stats().misses, 0u);
+  {
+    Workspace::Bind bind(&ws);
+    { Matrix m(5, 5, 1.0); }
+  }
   EXPECT_EQ(ws.stats().retained_buffers, 1u);
 }
 
@@ -239,7 +235,8 @@ TEST(WorkspaceTest, BuffersMigrateAcrossThreadsSafely) {
 
 TEST(WorkspaceTest, ArenaNeverChangesNumericResults) {
   // The same computation, with enough temporaries to cycle the freelist,
-  // must be bitwise-identical with the arena off, on, and on-with-reuse.
+  // must be bitwise-identical with no workspace bound, bound, and bound
+  // with reuse.
   auto compute = [] {
     util::Rng rng(99);
     Matrix a = Matrix::Gaussian(40, 30, 1.0, &rng);
@@ -248,10 +245,8 @@ TEST(WorkspaceTest, ArenaNeverChangesNumericResults) {
     Matrix d = MatMul(b, c.Transposed());
     return MatMul(d, c);
   };
-  EnabledGuard guard;
-  Workspace::SetEnabled(false);
+  ASSERT_EQ(Workspace::Current(), nullptr);
   const Matrix expect = compute();
-  Workspace::SetEnabled(true);
   Workspace ws;
   Workspace::Bind bind(&ws);
   for (int i = 0; i < 3; ++i) {  // later rounds run on recycled buffers

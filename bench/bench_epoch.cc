@@ -27,9 +27,9 @@
 //   --hidden=N    model hidden width (default 64)
 //   --repeats=N   interleaved rounds per configuration (default 5)
 //   --threads=N   kernel pool size (default 4; see EpochBenchConfig)
-//   --isa=NAME    force the kernel ISA (scalar|sse2|avx2); exits 1 if the
-//                 CPU cannot run it. Default: ADAMGNN_ISA env or the best
-//                 supported.
+//   --isa=NAME    force the kernel ISA (tensor::IsaNames()); exits 1 if the
+//                 name is unknown or the CPU cannot run it. Default:
+//                 ADAMGNN_ISA env or the best supported.
 // Every integer flag must be a whole number >= 1; anything else exits 1
 // before the workload is built.
 
@@ -416,17 +416,10 @@ int main(int argc, char** argv) {
       cfg.avg_degree = 8;
       cfg.repeats = 1;
     } else if (std::strncmp(arg, "--isa=", 6) == 0) {
-      adamgnn::tensor::Isa isa;
-      if (!adamgnn::tensor::ParseIsa(arg + 6, &isa)) {
-        std::fprintf(stderr, "--isa must be scalar|sse2|avx2, got \"%s\"\n",
-                     arg + 6);
-        return 1;
-      }
-      if (!adamgnn::tensor::SetIsa(isa)) {
-        std::fprintf(
-            stderr, "--isa=%s is not supported on this CPU (best: %s)\n",
-            arg + 6,
-            adamgnn::tensor::IsaName(adamgnn::tensor::BestSupportedIsa()));
+      const adamgnn::util::Status status =
+          adamgnn::tensor::SetIsaByName(arg + 6);
+      if (!status.ok()) {
+        std::fprintf(stderr, "--isa: %s\n", status.message().c_str());
         return 1;
       }
     } else {

@@ -98,8 +98,14 @@ Variable MatMul(const Variable& a, const Variable& b) {
   auto pa = a.node(), pb = b.node();
   return Variable::FromNode(NewOpNode(
       tensor::MatMul(a.value(), b.value()), {pa, pb}, [pa, pb](Node& self) {
-        AccumulateGrad(pa.get(), tensor::MatMulTransB(self.grad, pb->value));
-        AccumulateGrad(pb.get(), tensor::MatMulTransA(pa->value, self.grad));
+        // A constant operand (the feature matrix of an input layer) would
+        // get a full GEMM that AccumulateGrad then discards.
+        if (pa->requires_grad) {
+          AccumulateGrad(pa.get(), tensor::MatMulTransB(self.grad, pb->value));
+        }
+        if (pb->requires_grad) {
+          AccumulateGrad(pb.get(), tensor::MatMulTransA(pa->value, self.grad));
+        }
       }));
 }
 

@@ -21,7 +21,7 @@ namespace {
 // Grains come from tensor/tuning.h (single source of truth shared with
 // graph/sparse_matrix.cc and tensor/kernels.cc); inner loops run through the
 // per-ISA lane primitives of tensor/simd_ops.h, which use no FMA at any ISA
-// — so SpMMValues results are bitwise-identical across scalar/sse2/avx2.
+// — so SpMMValues results are bitwise-identical across scalar/avx2.
 
 // out(row, :) += w(k) * x(col, :) over the pattern's entries, with adaptive
 // strategy selection. `transpose=false` is the forward; `transpose=true`

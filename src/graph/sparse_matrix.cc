@@ -15,7 +15,7 @@
 // GatherGrain/ScatterGrain copies are deduped there); the row-gather inner
 // loops run through the per-ISA vtable in tensor/simd_ops.h. The lane
 // primitives use no FMA at any ISA, so SpMM results are bitwise-identical
-// across scalar/sse2/avx2 and identical to the plain serial loops they
+// across scalar/avx2 and identical to the plain serial loops they
 // replaced.
 
 namespace adamgnn::graph {

@@ -18,15 +18,12 @@ Isa ProbeBestIsa() {
 #if defined(ADAMGNN_X86) && defined(__GNUC__)
   // kAvx2 implies FMA: the AVX2 GEMM microkernel uses _mm256_fmadd_pd, so a
   // CPU with AVX2 but no FMA (none shipping, but CPUID allows it) must fall
-  // back to SSE2.
+  // back to scalar.
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return Isa::kAvx2;
   }
-  if (__builtin_cpu_supports("sse2")) return Isa::kSse2;
-  return Isa::kScalar;
-#else
-  return Isa::kScalar;
 #endif
+  return Isa::kScalar;
 }
 
 // -1 = not yet resolved. Relaxed ordering is fine: the value is write-once
@@ -34,24 +31,18 @@ Isa ProbeBestIsa() {
 // re-resolve the same env value.
 std::atomic<int> g_active_isa{-1};
 
-Isa ResolveFromEnv() {
-  const Isa best = ProbeBestIsa();
+// Resolves the first-use ISA into g_active_isa: the one ADAMGNN_ISA names,
+// or the best supported one (with a warning when the value is unknown or
+// unsupported on this CPU).
+void ResolveFromEnv() {
   const char* env = std::getenv("ADAMGNN_ISA");
-  if (env == nullptr || env[0] == '\0') return best;
-  Isa requested;
-  if (!ParseIsa(env, &requested)) {
-    std::fprintf(stderr,
-                 "warning: ADAMGNN_ISA=%s is not scalar|sse2|avx2; using %s\n",
-                 env, IsaName(best));
-    return best;
+  if (env != nullptr && env[0] != '\0') {
+    const util::Status status = SetIsaByName(env);
+    if (status.ok()) return;
+    std::fprintf(stderr, "warning: ADAMGNN_ISA: %s; using %s\n",
+                 status.message().c_str(), IsaName(BestSupportedIsa()));
   }
-  if (static_cast<int>(requested) > static_cast<int>(best)) {
-    std::fprintf(stderr,
-                 "warning: ADAMGNN_ISA=%s unsupported on this CPU; using %s\n",
-                 env, IsaName(best));
-    return best;
-  }
-  return requested;
+  SetIsa(BestSupportedIsa());
 }
 
 }  // namespace
@@ -60,25 +51,29 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kSse2:
-      return "sse2";
     case Isa::kAvx2:
       return "avx2";
   }
   return "unknown";
 }
 
-bool ParseIsa(const std::string& name, Isa* out) {
-  if (name == "scalar") {
-    *out = Isa::kScalar;
-  } else if (name == "sse2") {
-    *out = Isa::kSse2;
-  } else if (name == "avx2") {
-    *out = Isa::kAvx2;
-  } else {
-    return false;
+std::string IsaNames() {
+  std::string names;
+  for (Isa isa : kAllIsas) {
+    if (!names.empty()) names += '|';
+    names += IsaName(isa);
   }
-  return true;
+  return names;
+}
+
+bool ParseIsa(const std::string& name, Isa* out) {
+  for (Isa isa : kAllIsas) {
+    if (name == IsaName(isa)) {
+      *out = isa;
+      return true;
+    }
+  }
+  return false;
 }
 
 Isa BestSupportedIsa() {
@@ -89,8 +84,8 @@ Isa BestSupportedIsa() {
 Isa ActiveIsa() {
   int v = g_active_isa.load(std::memory_order_relaxed);
   if (v < 0) {
-    v = static_cast<int>(ResolveFromEnv());
-    g_active_isa.store(v, std::memory_order_relaxed);
+    ResolveFromEnv();
+    v = g_active_isa.load(std::memory_order_relaxed);
   }
   return static_cast<Isa>(v);
 }
@@ -101,12 +96,24 @@ bool SetIsa(Isa isa) {
   return true;
 }
 
+util::Status SetIsaByName(const std::string& name) {
+  Isa isa;
+  if (!ParseIsa(name, &isa)) {
+    return util::Status::InvalidArgument("unknown ISA \"" + name +
+                                         "\" (expected " + IsaNames() + ")");
+  }
+  if (!SetIsa(isa)) {
+    return util::Status::FailedPrecondition(
+        name + " is not supported on this CPU (best: " +
+        IsaName(BestSupportedIsa()) + ")");
+  }
+  return util::Status::OK();
+}
+
 const SimdOps* GetOps(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return simd::ScalarOps();
-    case Isa::kSse2:
-      return simd::Sse2Ops();
     case Isa::kAvx2:
       return simd::Avx2Ops();
   }

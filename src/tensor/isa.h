@@ -3,33 +3,40 @@
 
 #include <string>
 
-// Runtime ISA selection for the kernel backend. The library ships three
-// kernel variants compiled in separate translation units (scalar, SSE2,
+#include "util/status.h"
+
+// Runtime ISA selection for the kernel backend. The library ships two
+// kernel variants compiled in separate translation units (scalar and
 // AVX2+FMA); at process start the dispatcher probes the CPU and picks the
-// widest supported one. `ADAMGNN_ISA=scalar|sse2|avx2` (env) or `--isa`
-// (both CLIs) forces a narrower variant for reproducibility across
-// machines.
+// widest supported one. `ADAMGNN_ISA=scalar|avx2` (env) or `--isa` (both
+// CLIs) forces one variant for reproducibility across machines. An x86 CPU
+// without AVX2+FMA runs the scalar variant.
 //
 // Determinism contract (see DESIGN.md "Kernel dispatch & determinism"):
 //   - At a fixed ISA, every kernel is bitwise-identical across thread
 //     counts.
 //   - Sparse/reduction kernels (SpMM, SpMM^T, SegmentSum, IndexAddRows) and
 //     the elementwise primitives avoid FMA contraction entirely, so they are
-//     bitwise-identical across ALL ISAs.
+//     bitwise-identical across both ISAs.
 //   - Dense GEMM differs on avx2 only through explicit FMA in the
-//     microkernel: scalar and sse2 agree bitwise; avx2 agrees within an
-//     ULP-bounded tolerance (tests/isa_test.cc).
+//     microkernel: avx2 agrees with scalar within an ULP-bounded tolerance
+//     (tests/isa_test.cc).
 
 namespace adamgnn::tensor {
 
 enum class Isa : int {
   kScalar = 0,  // portable C++, no vector intrinsics
-  kSse2 = 1,    // 128-bit lanes (baseline on x86-64)
-  kAvx2 = 2,    // 256-bit lanes + FMA in the GEMM microkernel
+  kAvx2 = 1,    // 256-bit lanes + FMA in the GEMM microkernel
 };
 
-// Short lowercase name ("scalar", "sse2", "avx2").
+// Every ISA, narrowest first.
+inline constexpr Isa kAllIsas[] = {Isa::kScalar, Isa::kAvx2};
+
+// Short lowercase name ("scalar", "avx2").
 const char* IsaName(Isa isa);
+
+// The accepted names joined by '|' ("scalar|avx2"), built from IsaName.
+std::string IsaNames();
 
 // Parses an ISA name; returns false (and leaves *out untouched) on an
 // unknown name.
@@ -52,8 +59,13 @@ Isa ActiveIsa();
 // fail loudly rather than silently compute different bits.
 bool SetIsa(Isa isa);
 
+// ParseIsa + SetIsa for a user-supplied name. InvalidArgument naming the
+// accepted names (IsaNames) on an unknown name, FailedPrecondition naming
+// the best supported ISA when the CPU cannot run it; no change on error.
+util::Status SetIsaByName(const std::string& name);
+
 // Space-separated CPU feature flags relevant to the backend (e.g.
-// "sse2 sse4.1 avx avx2 fma"), for bench JSON provenance.
+// "avx avx2 fma"), for bench JSON provenance.
 std::string CpuFeatureString();
 
 }  // namespace adamgnn::tensor

@@ -44,16 +44,8 @@ size_t RowGrain(size_t rows, size_t cols) {
 // which strategy the adaptive reductions picked.
 obs::Counter& GemmDispatchCounter(Isa isa) {
   static obs::Counter* scalar_calls = new obs::Counter("kernel.gemm.scalar");
-  static obs::Counter* sse2_calls = new obs::Counter("kernel.gemm.sse2");
   static obs::Counter* avx2_calls = new obs::Counter("kernel.gemm.avx2");
-  switch (isa) {
-    case Isa::kSse2:
-      return *sse2_calls;
-    case Isa::kAvx2:
-      return *avx2_calls;
-    default:
-      return *scalar_calls;
-  }
+  return isa == Isa::kAvx2 ? *avx2_calls : *scalar_calls;
 }
 
 obs::Counter& SegmentStrategyCounter(tuning::ReduceStrategy strategy) {
@@ -92,13 +84,13 @@ void ParallelCombineInto(const Matrix& a, const Matrix& b, Matrix* c, F f) {
 
 // ---------------------------------------------------------------------------
 // GEMM dispatch. The microkernels live in the per-ISA translation units
-// (kernels_{scalar,sse2,avx2}.cc, shared body in kernels_isa_body.inc);
+// (kernels_{scalar,avx2}.cc, shared body in kernels_isa_body.inc);
 // this layer packs B once, fans C rows across the pool, and hands each
 // chunk a Workspace-backed A-packing scratch. Per output element the fold
 // is a single accumulator over ascending k (K blocks accumulate in order),
 // so results are bitwise-identical at every thread count for a fixed ISA;
-// scalar and sse2 agree bitwise, avx2 differs only via its explicit
-// in-kernel FMA (ULP-bounded, see tests/isa_test.cc).
+// avx2 differs from scalar only via its explicit in-kernel FMA
+// (ULP-bounded, see tests/isa_test.cc).
 // ---------------------------------------------------------------------------
 
 // Packs b's 8-column panels into panel-major layout: panel j/8 occupies
@@ -421,7 +413,7 @@ void GroupRowsBySegment(const std::vector<size_t>& segments,
 /// each output row's sources in ascending source-row order through the
 /// per-ISA lane primitives (no FMA at any ISA), so they produce IDENTICAL
 /// bits — to each other, to the plain serial scatter loop, and across
-/// scalar/sse2/avx2. The choice is pure speed:
+/// scalar/avx2. The choice is pure speed:
 ///   kSerialScatter  — one ascending pass, no grouping, no pool dispatch;
 ///                     wins when the pool cannot help or the work is small.
 ///   kParallelGather — counting-sort rows by segment, then one pool task

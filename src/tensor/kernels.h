@@ -11,10 +11,9 @@
 // selection cannot change bits.
 //
 // ISA dispatch: the inner loops run through the runtime-selected SIMD
-// backend (tensor/isa.h, ADAMGNN_ISA=scalar|sse2|avx2). Sparse/segment
-// kernels are bitwise-identical across all ISAs; the MatMul variants are
-// bitwise-identical between scalar and sse2, while avx2 uses explicit FMA
-// and differs within an ULP-bounded tolerance.
+// backend (tensor/isa.h, ADAMGNN_ISA=scalar|avx2). Sparse/segment kernels
+// are bitwise-identical across both ISAs; the MatMul variants use explicit
+// FMA on avx2 and differ from scalar within an ULP-bounded tolerance.
 
 #ifndef ADAMGNN_TENSOR_KERNELS_H_
 #define ADAMGNN_TENSOR_KERNELS_H_

@@ -1,7 +1,11 @@
 #include "autograd/ops.h"
 
+#include <string>
+
 #include "autograd/variable.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "tensor/isa.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -198,6 +202,33 @@ TEST(GradCheck, DetachBlocksGradient) {
   Backward(loss);
   EXPECT_DOUBLE_EQ(p.grad()(0, 0), 3.0);
 }
+
+// Reads a registry counter, which a build with -DADAMGNN_OBS=OFF compiles
+// out.
+#if !defined(ADAMGNN_OBS_OFF)
+TEST(BackwardTest, MatMulSkipsTheGemmForAConstantOperand) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const std::string counter =
+      std::string("kernel.gemm.") + tensor::IsaName(tensor::ActiveIsa());
+  auto gemms = [&counter] {
+    for (const auto& [name, value] :
+         obs::MetricsRegistry::Global().Collect().counters) {
+      if (name == counter) return value;
+    }
+    return static_cast<uint64_t>(0);
+  };
+  util::Rng rng(3);
+  Variable x = Variable::Constant(Matrix::Gaussian(6, 4, 1.0, &rng));
+  Variable w = Param(4, 3, 4);
+  Variable loss = Sum(MatMul(x, w));
+  const uint64_t before = gemms();
+  Backward(loss);
+  // dW = Xᵀ·dY only; dX = dY·Wᵀ would be thrown away.
+  EXPECT_EQ(gemms() - before, 1u);
+  obs::SetEnabled(was_enabled);
+}
+#endif  // !ADAMGNN_OBS_OFF
 
 TEST(OpsTest, ValueCorrectnessSpotChecks) {
   Variable a = Variable::Constant(Matrix(2, 2, std::vector<double>{1, 2, 3,

@@ -6,7 +6,9 @@
 // covers the batch-result memoization rules (hits return identical bits,
 // partial batches are never cached, RefreshWeights invalidates).
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/adamgnn_model.h"
@@ -232,6 +234,18 @@ TEST(BatchInferenceTest, MidCascadeDeadlineCancelsOnlyThatMember) {
   }
 }
 
+// The cache tests below read registry counters, which a build with
+// -DADAMGNN_OBS=OFF compiles out.
+#if !defined(ADAMGNN_OBS_OFF)
+
+uint64_t CounterValue(const std::string& counter) {
+  for (const auto& [name, value] :
+       obs::MetricsRegistry::Global().Collect().counters) {
+    if (name == counter) return value;
+  }
+  return 0;
+}
+
 TEST(BatchInferenceTest, BatchResultsMemoizedPerPlanAndInvalidated) {
   constexpr size_t kFeatureDim = 4;
   std::vector<graph::Graph> graphs = HeterogeneousGraphs(kFeatureDim);
@@ -244,13 +258,7 @@ TEST(BatchInferenceTest, BatchResultsMemoizedPerPlanAndInvalidated) {
       BatchPlan::Build(BatchOf(graphs), config.lambda);
 
   obs::SetEnabled(true);
-  auto hits = [] {
-    for (const auto& [name, value] :
-         obs::MetricsRegistry::Global().Collect().counters) {
-      if (name == "infer.batch.cache.hits") return value;
-    }
-    return static_cast<uint64_t>(0);
-  };
+  auto hits = [] { return CounterValue("infer.batch.cache.hits"); };
 
   const uint64_t hits_before = hits();
   std::vector<InferenceSession::Result> first = session.RunBatch(plan);
@@ -271,6 +279,64 @@ TEST(BatchInferenceTest, BatchResultsMemoizedPerPlanAndInvalidated) {
   EXPECT_EQ(hits(), hits_before + 1);  // recomputed, not served stale
   EXPECT_FALSE(refreshed[0].embeddings == first[0].embeddings);
 }
+
+// A recurring 8-member composition is ONE batch-cache key, so a 64-graph
+// catalog served as 8 fixed windows fits the session's 16-entry caches,
+// while served one graph at a time it would cycle through them and never
+// hit. Round 2 must be all hits and return round 1's bits.
+TEST(BatchInferenceTest, RecurringWindowsCompressACatalogIntoTheBatchCache) {
+  constexpr size_t kFeatureDim = 4;
+  constexpr size_t kNumGraphs = 64;
+  constexpr size_t kWindow = 8;
+  constexpr size_t kNumWindows = kNumGraphs / kWindow;
+  static_assert(kNumGraphs > InferenceSession::kMaxCachedPlans);
+  static_assert(kNumWindows <= InferenceSession::kMaxCachedPlans);
+  std::vector<graph::Graph> graphs;
+  for (size_t g = 0; g < kNumGraphs; ++g) {
+    graphs.push_back(Ring(5 + g % 9, kFeatureDim, /*seed=*/100 + g));
+  }
+  AdamGnnConfig config = SmallConfig(kFeatureDim);
+  util::Rng rng(46);
+  AdamGnn model(config, &rng);
+  InferenceSession session(model);
+
+  // Window w holds graphs w, w + 8, w + 16, ...: the composition closed-loop
+  // clients that each own every 8th graph produce.
+  std::vector<std::shared_ptr<const BatchPlan>> plans;
+  for (size_t w = 0; w < kNumWindows; ++w) {
+    std::vector<graph::Graph> members;
+    for (size_t g = w; g < kNumGraphs; g += kNumWindows) {
+      members.push_back(graphs[g]);
+    }
+    plans.push_back(BatchPlan::Build(BatchOf(members), config.lambda));
+  }
+
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const uint64_t hits0 = CounterValue("infer.batch.cache.hits");
+  const uint64_t misses0 = CounterValue("infer.batch.cache.misses");
+  std::vector<std::vector<InferenceSession::Result>> first;
+  for (const auto& plan : plans) first.push_back(session.RunBatch(plan));
+  EXPECT_EQ(CounterValue("infer.batch.cache.hits"), hits0);
+  EXPECT_EQ(CounterValue("infer.batch.cache.misses"), misses0 + kNumWindows);
+
+  for (size_t w = 0; w < kNumWindows; ++w) {
+    const uint64_t hits = CounterValue("infer.batch.cache.hits");
+    std::vector<InferenceSession::Result> second = session.RunBatch(plans[w]);
+    EXPECT_EQ(CounterValue("infer.batch.cache.hits"), hits + 1)
+        << "window=" << w;
+    ASSERT_EQ(second.size(), kWindow);
+    for (size_t m = 0; m < kWindow; ++m) {
+      SCOPED_TRACE("window=" + std::to_string(w) + " member=" +
+                   std::to_string(m));
+      ExpectBitwise(first[w][m], second[m]);
+    }
+  }
+  EXPECT_EQ(CounterValue("infer.batch.cache.misses"), misses0 + kNumWindows);
+  obs::SetEnabled(was_enabled);
+}
+
+#endif  // !ADAMGNN_OBS_OFF
 
 }  // namespace
 }  // namespace adamgnn::core

@@ -113,9 +113,10 @@ const std::vector<cli::FlagSpec>& Specs() {
           {"seed", "synthetic-data / scratch-model seed (default 1)"},
           {"threads", "kernel worker threads (default: ADAMGNN_NUM_THREADS "
                       "env\nor hardware concurrency)"},
-          {"isa", "scalar|sse2|avx2: force the SIMD kernel backend "
-                  "(default:\nADAMGNN_ISA env or best supported); exits 2 "
-                  "if the CPU\ncannot run it"},
+          {"isa", tensor::IsaNames() +
+                      ": force the SIMD kernel backend (default:\n"
+                      "ADAMGNN_ISA env or best supported); exits 2 if the "
+                      "CPU\ncannot run it"},
           {"output", "predictions file (default: stdout).\nnc: "
                      "node<TAB>class, lp: u<TAB>v<TAB>score"},
           {"repeat", "run N extra warm queries against the cached plan and\n"

@@ -63,11 +63,12 @@ const std::vector<cli::FlagSpec>& Specs() {
           {"threads", "kernel worker threads (default: ADAMGNN_NUM_THREADS "
                       "env\nor hardware concurrency). Results are "
                       "bitwise-identical\nat every thread count."},
-          {"isa", "scalar|sse2|avx2: force the SIMD kernel backend "
-                  "(default:\nADAMGNN_ISA env or best the CPU supports). "
-                  "Exits 2 if the\nCPU cannot run it. At a fixed ISA "
-                  "results are\nbitwise-reproducible; across ISAs dense "
-                  "matmuls may\ndiffer by a few ULPs (avx2 FMA)."},
+          {"isa", tensor::IsaNames() +
+                      ": force the SIMD kernel backend (default:\n"
+                      "ADAMGNN_ISA env or best the CPU supports). Exits 2 "
+                      "if the\nCPU cannot run it. At a fixed ISA results "
+                      "are\nbitwise-reproducible; across ISAs dense matmuls "
+                      "may\ndiffer by a few ULPs (avx2 FMA)."},
           {"save", "write the final weights as a checkpoint loadable by\n"
                    "adamgnn_infer --load"},
           {"checkpoint", "crash-safe resumable checkpoint file (parameters "

@@ -46,7 +46,7 @@ using FlagMap = std::map<std::string, std::string>;
 /// appear twice, or be documented but unparseable.
 struct FlagSpec {
   const char* name;  ///< without the leading "--"
-  const char* help;  ///< one or more lines; each is indented under the flag
+  std::string help;  ///< one or more lines; each is indented under the flag
 };
 
 /// The known-flag set for ParseFlags, derived from the spec table. A
@@ -68,7 +68,7 @@ inline std::set<std::string> FlagNames(const std::vector<FlagSpec>& specs) {
 inline void PrintFlagHelp(const std::vector<FlagSpec>& specs) {
   for (const FlagSpec& spec : specs) {
     std::printf("  --%s\n", spec.name);
-    const std::string help = spec.help;
+    const std::string& help = spec.help;
     size_t start = 0;
     while (start <= help.size()) {
       const size_t end = help.find('\n', start);
@@ -203,21 +203,16 @@ inline void ConfigureThreadsOrDie(const FlagMap& flags) {
   util::SetNumThreads(static_cast<int>(n));
 }
 
-/// Applies --isa=scalar|sse2|avx2 to the kernel dispatcher. Unlike the
-/// ADAMGNN_ISA environment override (which warns and falls back), an
-/// explicit flag naming an ISA this CPU cannot run is an error: exit 2.
+/// Applies --isa=NAME (one of tensor::IsaNames()) to the kernel
+/// dispatcher. Unlike the ADAMGNN_ISA environment override (which warns and
+/// falls back), an unknown name or one this CPU cannot run is an error:
+/// exit 2.
 inline void ConfigureIsaOrDie(const FlagMap& flags) {
   if (flags.count("isa") == 0) return;
-  const std::string name = FlagOr(flags, "isa", "");
-  tensor::Isa isa;
-  if (!tensor::ParseIsa(name, &isa)) {
-    std::fprintf(stderr, "--isa must be scalar|sse2|avx2, got \"%s\"\n",
-                 name.c_str());
-    std::exit(2);
-  }
-  if (!tensor::SetIsa(isa)) {
-    std::fprintf(stderr, "--isa=%s is not supported on this CPU (best: %s)\n",
-                 name.c_str(), tensor::IsaName(tensor::BestSupportedIsa()));
+  const util::Status status =
+      tensor::SetIsaByName(FlagOr(flags, "isa", ""));
+  if (!status.ok()) {
+    std::fprintf(stderr, "--isa: %s\n", status.message().c_str());
     std::exit(2);
   }
 }
